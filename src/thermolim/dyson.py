@@ -1,53 +1,51 @@
-"""Dual-series correction terms for the splitting perturbation.
+"""Dyson-series correction terms for the splitting perturbation.
 
 Treating the Delta/2 sigma-z sum as the perturbation on top of the
-sector propagator, a single flip out of the extremal sector carries
-collective weight sqrt(N) and lands in the m = N-2 sector; the
-time-ordered kernels reduce to phase-weighted displacement integrals
+sector propagators, a single flip out of the extremal sector carries
+collective weight sqrt(N) and lands in the m = N-2 sector.  With
+V = (Delta/2) sqrt(N) and H_m the sector Hamiltonian, the first-order
+correction (reaching the orthogonal collective state) and the
+second-order return amplitude (back on the original one) are
 
-    inner(t)  = int_0^t e^{i Theta(t')} D[a(t')] dt',
-    Theta(t') = 4 (N-1) (g/omega)^2 (omega t' - sin omega t'),
-    a(t')     = (2 g / omega) (1 - e^{i omega t'}),
+    -i   int_0^t U_{N-2}(t-s) V U_N(s) psi0 ds,
+    (-i)^2 int_0^t int_0^s U_N(t-s) V U_{N-2}(s-r) V U_N(r) psi0 dr ds.
 
-with the first-order correction (reaching the orthogonal collective
-state) given by -i sqrt(N) (Delta/2) U_{N-2}(t) inner(t) psi0 and the
-second-order return amplitude (back on the original collective state)
-by -(N Delta^2 / 4) U_N(t) applied to the nested conjugate-phase
-double integral.  Displacement products inside the double integral are
-fused via D[-a'] D[a''] = e^{-i Im(a' conj(a''))} D[a'' - a'], so each
-node applies a single displacement.
+Both are exactly the top-right block of one exponential of a block
+upper-triangular matrix (C. Van Loan, IEEE TAC 23, 395, 1978):
 
-Quadrature is Gauss-Legendre on uniformly refined panels; every
-integral is recomputed at doubled panel count and the relative change
-is the reported error estimate.  Records that fail the 1e-8 bar come
-back flagged rather than raised, so parameter sweeps can keep partial
-results.
+    exp(-it [[H_{N-2}, V], [0, H_N]])                      first order,
+    exp(-it [[H_N, V, 0], [0, H_{N-2}, V], [0, 0, H_N]])   second order,
+
+applied to (0, ..., 0, psi0).  The truncated H_m reflects amplitude at
+the top of its Fock ladder, so the blocks live on a ladder padded above
+the caller's cutoff and the result is sliced back.  The error estimate
+is the relative change between one whole step at pad P and two half
+steps at pad 2P.  Records that fail the 1e-8 bar come back flagged
+rather than raised, so parameter sweeps can keep partial results.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.sparse as sp
 
 from .errors import DomainError, QuadratureError
-from .fock import FieldState, ModelParams, coherent_state, displacement_matrix
-from .propagator import apply_uf_sector
+from .evolver import EXPM_CALLS, expm_checked, sector_hamiltonian
+from .fock import FieldState, ModelParams
 
 __all__ = [
     "CorrectionRecord",
     "oscillatory_integral",
     "first_order_correction",
     "second_order_correction",
-    "second_order_kernel",
     "scaling_fit",
     "write_corrections_csv",
 ]
 
-_GL_ORDER = 16
 _REL_TOL = 1e-8
 
 
@@ -72,10 +70,6 @@ def _theta(params: ModelParams, tp: float) -> float:
     wt = params.omega * tp
     return 4.0 * (params.n_atoms - 1) * (params.g / params.omega) ** 2 \
         * (wt - math.sin(wt))
-
-
-def _alpha_center(params: ModelParams, tp: float) -> complex:
-    return (2.0 * params.g / params.omega) * (1.0 - cmath.exp(1j * params.omega * tp))
 
 
 def oscillatory_integral(params: ModelParams, t: float) -> complex:
@@ -107,77 +101,29 @@ def oscillatory_integral(params: ModelParams, t: float) -> complex:
     return result
 
 
-def _gl_nodes(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(a, b, panels + 1)
-    half = np.diff(edges) / 2.0
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    ts = (mids[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return ts, ws
+def _fock_pad(ncut: int) -> int:
+    """Levels added above ``ncut`` for the block exponential: two widths
+    of the band the tail check watches, so that amplitude reflected at
+    the top of the padded ladder stays out of the levels read back."""
+    return 2 * max(8, ncut // 10)
 
 
-def _displace_into(initial: FieldState, c: complex) -> np.ndarray:
-    """D[c] applied to the initial field; vacuum input takes the O(ncut)
-    coherent-state path, anything else the dense displacement matrix."""
-    amps = initial.amplitudes
-    if abs(amps[0]) == 1.0 and not np.any(amps[1:]):
-        return amps[0] * coherent_state(c, initial.ncut).amplitudes
-    return displacement_matrix(initial.ncut, c) @ amps
-
-
-def _first_inner(params: ModelParams, t: float, initial: FieldState,
-                 panels: int) -> np.ndarray:
-    ts, ws = _gl_nodes(0.0, t, panels)
-    acc = np.zeros(initial.ncut + 1, dtype=complex)
-    for tp, w in zip(ts, ws):
-        phase = cmath.exp(1j * _theta(params, tp))
-        acc = acc + (w * phase) * _displace_into(initial, _alpha_center(params, tp))
-    return acc
-
-
-def second_order_kernel(params: ModelParams, t_outer: float, t_inner: float,
-                        initial: FieldState) -> np.ndarray:
-    """Integrand vector of the nested correction at one (t', t'') pair:
-    conjugate outer phase, inner phase, and the fused single
-    displacement D[a(t'') - a(t')] with its composition phase."""
-    a_out = _alpha_center(params, t_outer)
-    a_in = _alpha_center(params, t_inner)
-    comp = cmath.exp(-1j * (a_out * a_in.conjugate()).imag)
-    phase = cmath.exp(1j * (_theta(params, t_inner) - _theta(params, t_outer)))
-    return (phase * comp) * _displace_into(initial, a_in - a_out)
-
-
-def _second_double(params: ModelParams, t: float, initial: FieldState,
-                   panels: int) -> np.ndarray:
-    ts, ws = _gl_nodes(0.0, t, panels)
-    acc = np.zeros(initial.ncut + 1, dtype=complex)
-    for tp, wp in zip(ts, ws):
-        if tp <= 0:
-            continue
-        inner_panels = max(2, math.ceil(panels * tp / t))
-        tss, wss = _gl_nodes(0.0, tp, inner_panels)
-        inner = np.zeros_like(acc)
-        for tsn, wn in zip(tss, wss):
-            inner = inner + wn * second_order_kernel(params, tp, tsn, initial)
-        acc = acc + wp * inner
-    return acc
-
-
-def _refine(make, panels: int, max_doublings: int) -> tuple[np.ndarray, dict, bool]:
-    prev = make(panels)
-    err = math.inf
-    nodes = panels * _GL_ORDER
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = make(panels)
-        nodes += panels * _GL_ORDER
-        scale = max(float(np.linalg.norm(cur)), 1e-300)
-        err = float(np.linalg.norm(cur - prev)) / scale
-        prev = cur
-        if err <= _REL_TOL:
-            return cur, {"nodes": nodes, "error_estimate": err}, True
-    return prev, {"nodes": nodes, "error_estimate": err}, False
+def _van_loan(params: ModelParams, order: int, initial: FieldState,
+              ncut: int) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Block matrix and input vector of the order-``order`` correction on
+    Fock levels 0..ncut; the wanted block comes out first."""
+    n = params.n_atoms
+    dim = ncut + 1
+    flip = (params.delta / 2.0) * math.sqrt(n) * sp.identity(dim, format="csr")
+    blocks = [[None] * (order + 1) for _ in range(order + 1)]
+    for k in range(order + 1):
+        # sectors alternate and end on the extremal one: N-2, N or N, N-2, N
+        blocks[k][k] = sector_hamiltonian(params, n - 2 * ((order - k) % 2), ncut)
+        if k:
+            blocks[k - 1][k] = flip
+    vec = np.zeros((order + 1) * dim, dtype=complex)
+    vec[order * dim: order * dim + initial.ncut + 1] = initial.amplitudes
+    return sp.bmat(blocks, format="csr"), vec
 
 
 def _zero_record(order: int, target: str, params: ModelParams, t: float,
@@ -189,52 +135,42 @@ def _zero_record(order: int, target: str, params: ModelParams, t: float,
                             converged=True)
 
 
-def first_order_correction(params: ModelParams, t: float,
-                           initial_field: FieldState, *,
-                           panels: int = 8,
-                           max_doublings: int = 6) -> CorrectionRecord:
-    """Single-flip correction amplitude into the orthogonal collective
-    sector: -i sqrt(N) (Delta/2) U_{N-2}(t) inner(t) applied to the
-    initial field."""
+def _correction(order: int, target: str, params: ModelParams, t: float,
+                initial: FieldState) -> CorrectionRecord:
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
+    ncut = initial.ncut
     if params.delta == 0 or t == 0:
-        return _zero_record(1, "chi_prime", params, t, initial_field.ncut)
-    inner, diag, ok = _refine(
-        lambda p: _first_inner(params, t, initial_field, p), panels, max_doublings)
-    if not np.all(np.isfinite(inner)):
-        raise QuadratureError("first-order integrand produced non-finite values")
-    pref = -1j * math.sqrt(params.n_atoms) * params.delta / 2.0
-    staged = FieldState(pref * inner, normalized=False)
-    field = apply_uf_sector(staged, params.n_atoms - 2, params, t)
+        return _zero_record(order, target, params, t, ncut)
+    pad = _fock_pad(ncut)
+    fine = ncut + 2 * pad
+    amps, err = expm_checked(t, _van_loan(params, order, initial, ncut + pad),
+                             _van_loan(params, order, initial, fine),
+                             keep=ncut + 1, unitary=fine + 1)
+    if not np.all(np.isfinite(amps)):
+        raise QuadratureError(f"order-{order} correction produced non-finite values")
+    field = FieldState(amps, normalized=False).require_tail()
     return CorrectionRecord(
-        order=1, target="chi_prime", t=t, params=params,
-        amplitude_norm=float(np.linalg.norm(field.amplitudes)),
-        field_correction=field, diagnostics=diag, converged=ok)
+        order=order, target=target, t=t, params=params,
+        amplitude_norm=float(np.linalg.norm(amps)), field_correction=field,
+        diagnostics={"nodes": EXPM_CALLS, "error_estimate": err},
+        converged=err <= _REL_TOL)
+
+
+def first_order_correction(params: ModelParams, t: float,
+                           initial_field: FieldState) -> CorrectionRecord:
+    """Single-flip correction amplitude into the orthogonal collective
+    sector: -i int_0^t U_{N-2}(t-s) V U_N(s) ds applied to the initial
+    field."""
+    return _correction(1, "chi_prime", params, t, initial_field)
 
 
 def second_order_correction(params: ModelParams, t: float,
-                            initial_field: FieldState, *,
-                            panels: int = 6,
-                            max_doublings: int = 5) -> CorrectionRecord:
+                            initial_field: FieldState) -> CorrectionRecord:
     """Flip-and-return correction on the original collective sector:
-    -(N Delta^2 / 4) U_N(t) applied to the time-ordered double
-    integral over the triangle 0 <= t'' <= t' <= t."""
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
-    if params.delta == 0 or t == 0:
-        return _zero_record(2, "chi", params, t, initial_field.ncut)
-    double, diag, ok = _refine(
-        lambda p: _second_double(params, t, initial_field, p), panels, max_doublings)
-    if not np.all(np.isfinite(double)):
-        raise QuadratureError("second-order integrand produced non-finite values")
-    pref = -params.n_atoms * params.delta**2 / 4.0
-    staged = FieldState(pref * double, normalized=False)
-    field = apply_uf_sector(staged, params.n_atoms, params, t)
-    return CorrectionRecord(
-        order=2, target="chi", t=t, params=params,
-        amplitude_norm=float(np.linalg.norm(field.amplitudes)),
-        field_correction=field, diagnostics=diag, converged=ok)
+    the time-ordered double integral over 0 <= r <= s <= t of
+    -U_N(t-s) V U_{N-2}(s-r) V U_N(r) applied to the initial field."""
+    return _correction(2, "chi", params, t, initial_field)
 
 
 def scaling_fit(points) -> dict:

@@ -31,10 +31,11 @@ class QuadratureError(ThermolimError):
 
 
 class IntegrationError(ThermolimError):
-    """The exact evolver could not certify its convergence contract.
+    """An exponential-engine result failed its certification.
 
-    Carries a ``diagnostics`` dict (steps, Krylov order, observed
-    deviation) to make refinement failures debuggable.
+    Carries a ``diagnostics`` dict: ``error_estimate``, the relative
+    change between one whole step and two half steps, and ``drift``
+    when the norm check failed, so failures can be debugged.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):
@@ -44,7 +45,3 @@ class IntegrationError(ThermolimError):
 
 class ValidationError(ThermolimError):
     """A scenario config is malformed; the message names the bad field."""
-
-
-class ConvergenceError(ThermolimError):
-    """An averaging or fitting loop exhausted its refinement budget."""

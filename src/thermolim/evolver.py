@@ -2,16 +2,19 @@
 
 The storage basis diagonalizes the dominant coupling: collective
 sigma-x sectors m = N - 2q label the columns, the Fock index labels the
-rows.  In that basis the Hamiltonian splits into
+rows.  In that basis the Hamiltonian is the block diagonal of the
+sector Hamiltonians
 
-    field      omega a^dag a            (diagonal),
-    coupling   g m_q (a + a^dag)        (block tridiagonal in n),
-    splitting  (Delta/2) Sz_X           (tridiagonal across sectors),
+    H_m = omega a^dag a + g m (a + a^dag)     (tridiagonal in n),
 
-all real symmetric, so the sparse matrix is its own transpose exactly.
-Time stepping is Krylov (Lanczos) exponential propagation with full
-reorthogonalization; every run is re-done at doubled resolution and the
-two results must agree to 1e-8 or the run fails loudly.
+plus the splitting (Delta/2) Sz_X (tridiagonal across sectors), all
+real symmetric, so the sparse matrix is its own transpose exactly.
+
+Every exponential e^{-iHt} in the package, here and in the Dyson
+terms, goes through :func:`expm_checked`: scipy's truncated-Taylor
+``expm_multiply`` applied once as a whole step and once as two half
+steps.  The two must agree to 1e-8 and the norm must hold to 1e-9, or
+the run fails loudly.
 
 This module referees every closed-form and perturbative claim made by
 the rest of the package.
@@ -19,13 +22,12 @@ the rest of the package.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import CapacityError, CutoffError, DomainError, IntegrationError, ValidationError
 from .fock import FieldState, ModelParams
@@ -35,7 +37,9 @@ __all__ = [
     "CAPACITY_LIMIT",
     "JointState",
     "HamiltonianSpec",
+    "sector_hamiltonian",
     "build_hamiltonian",
+    "expm_checked",
     "evolve_exact",
     "project_chi",
     "fidelity",
@@ -45,6 +49,9 @@ __all__ = [
 ]
 
 CAPACITY_LIMIT = 2_000_000  # amplitudes; past this the dense vector is refused
+EXPM_CALLS = 3  # engine applications per expm_checked call
+_AGREEMENT_TOL = 1e-8
+_NORM_TOL = 1e-9
 _JNTS_MAGIC = b"JNTS"
 
 
@@ -116,27 +123,19 @@ class JointState:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Sparse Hamiltonian with its three physical blocks kept separate
-    for inspection; ``matrix`` is their sum."""
+    """Sparse Hamiltonian of the joint model in the sector-major basis."""
 
     params: ModelParams
     ncut: int
-    field_part: sp.spmatrix
-    coupling_part: sp.spmatrix
-    splitting_part: sp.spmatrix
     matrix: sp.spmatrix
 
-    @property
-    def dim(self) -> int:
-        return (self.ncut + 1) * (self.params.n_atoms + 1)
 
-    def spectral_spread(self) -> float:
-        """Cheap upper bound on lambda_max - lambda_min, used to pick
-        the integrator step."""
-        p = self.params
-        return (p.omega * self.ncut
-                + 4.0 * p.g * p.n_atoms * math.sqrt(self.ncut + 1.0)
-                + 2.0 * p.delta * p.n_atoms)
+def sector_hamiltonian(params: ModelParams, m: int, ncut: int) -> sp.csr_matrix:
+    """H_m = omega n + g m (a + a^dag) on Fock levels 0..ncut: the field
+    Hamiltonian inside the sigma-x sector of eigenvalue m."""
+    n = np.arange(ncut + 1, dtype=float)
+    ladder = (params.g * m) * np.sqrt(n[1:])
+    return sp.diags([ladder, params.omega * n, ladder], [-1, 0, 1], format="csr")
 
 
 def build_hamiltonian(params: ModelParams, ncut: int,
@@ -147,78 +146,54 @@ def build_hamiltonian(params: ModelParams, ncut: int,
     if dimf * dims > max_amplitudes:
         raise CapacityError(
             f"state dimension {dimf * dims} exceeds limit {max_amplitudes}")
-    n = np.arange(dimf, dtype=float)
-    ladder = np.sqrt(n[1:])
-    eye_f = sp.identity(dimf, format="csr")
-    eye_s = sp.identity(dims, format="csr")
-    xop = sp.diags([ladder, ladder], [1, -1])
-    mvals = params.n_atoms - 2.0 * np.arange(dims)
+    sectors = sp.block_diag([sector_hamiltonian(params, params.n_atoms - 2 * q, ncut)
+                             for q in range(dims)], format="csr")
     w = sigma_z_coupling(params.n_atoms)
     szx = sp.diags([w, w], [1, -1])
-
-    field = sp.kron(eye_s, sp.diags(params.omega * n), format="csr")
-    coupling = sp.kron(sp.diags(params.g * mvals), xop, format="csr")
-    splitting = sp.kron((params.delta / 2.0) * szx, eye_f, format="csr")
-    total = (field + coupling + splitting).tocsr()
-    return HamiltonianSpec(params=params, ncut=ncut, field_part=field,
-                           coupling_part=coupling, splitting_part=splitting,
-                           matrix=total)
+    splitting = sp.kron((params.delta / 2.0) * szx, sp.identity(dimf), format="csr")
+    return HamiltonianSpec(params=params, ncut=ncut,
+                           matrix=(sectors + splitting).tocsr())
 
 
-def _lanczos_step(hmat, v: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """One Krylov step of exp(-i dt H) v with full reorthogonalization.
+def expm_checked(t: float, coarse, fine, keep: int | None = None,
+                 unitary: int | None = None) -> tuple[np.ndarray, float]:
+    """exp(-i t H) v through scipy's truncated-Taylor ``expm_multiply``
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), evaluated
+    twice and compared.
 
-    The small tridiagonal exponential goes through its eigensystem, so
-    the step is unitary on the Krylov subspace to rounding."""
-    scale = np.linalg.norm(v)
-    if scale == 0:
-        return v.copy()
-    m = min(order, v.size)
-    basis = np.empty((v.size, m), dtype=np.complex128)
-    alphas = np.empty(m)
-    betas = np.empty(max(m - 1, 0))
-    basis[:, 0] = v / scale
-    k = m
-    for j in range(m):
-        w = hmat @ basis[:, j]
-        a = float(np.real(np.vdot(basis[:, j], w)))
-        alphas[j] = a
-        w = w - a * basis[:, j]
-        if j > 0:
-            w = w - betas[j - 1] * basis[:, j - 1]
-        # second Gram-Schmidt pass: Lanczos loses orthogonality quickly
-        w = w - basis[:, : j + 1] @ (basis[:, : j + 1].conj().T @ w)
-        if j == m - 1:
-            break
-        b = float(np.linalg.norm(w))
-        if b < 1e-14:
-            k = j + 1  # invariant subspace: the step is exact here
-            break
-        betas[j] = b
-        basis[:, j + 1] = w / b
-    theta, q = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-    coef = q @ (np.exp(-1j * dt * theta) * q[0, :])
-    return scale * (basis[:, :k] @ coef)
+    ``coarse`` and ``fine`` are (H, v) pairs for the same propagation,
+    ``fine`` possibly on a larger basis whose first ``keep`` entries
+    (default all) mean the same as the coarse ones.  The coarse pair is
+    applied in one step and the fine pair in two half steps, which is
+    ``EXPM_CALLS`` engine applications.  Returns the first ``keep``
+    entries of the fine result and their relative change from the
+    coarse result, the caller's error estimate.
+
+    The last ``unitary`` entries (default all) of the fine result must
+    evolve on their own under a Hermitian block and so keep the norm of
+    the fine input; a drift beyond 1e-9 raises :class:`IntegrationError`.
+    """
+    h, v = coarse
+    whole = expm_multiply((-1j * t) * h, v)[:keep]
+    h, v = fine
+    half = (-0.5j * t) * h
+    raw = expm_multiply(half, expm_multiply(half, v))
+    out = raw[:keep]
+    err = float(np.linalg.norm(out - whole)) / max(float(np.linalg.norm(out)), 1e-300)
+    conserved = raw if unitary is None else raw[-unitary:]
+    drift = abs(float(np.linalg.norm(conserved)) - float(np.linalg.norm(v)))
+    if not drift <= _NORM_TOL:
+        raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-9",
+                               diagnostics={"error_estimate": err, "drift": drift})
+    return out, err
 
 
-def _propagate(hmat, v: np.ndarray, t: float, n_steps: int, order: int) -> np.ndarray:
-    dt = t / n_steps
-    out = v
-    for _ in range(n_steps):
-        out = _lanczos_step(hmat, out, dt, order)
-    return out
-
-
-def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec, *,
-                 order: int = 32, step_hint: float | None = None,
-                 max_refinements: int = 3) -> JointState:
+def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointState:
     """Propagate under the full Hamiltonian for time t.
 
-    Every result is verified: the run repeats with the step halved and
-    the Krylov order raised, and the two final vectors must agree to
-    1e-8 in norm.  Disagreement triggers further step halving up to
-    ``max_refinements`` times, then an integration error carrying the
-    convergence history."""
+    One whole step and two half steps of :func:`expm_checked` must agree
+    to 1e-8 and keep the norm to 1e-9, else an :class:`IntegrationError`
+    carries the diagnostics; the result must pass the Fock tail check."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     if spec.ncut != state.ncut or spec.params != state.params:
@@ -226,32 +201,12 @@ def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec, *,
     if t == 0:
         return state
     v0 = state.vector()
-    spread = spec.spectral_spread()
-    h0 = step_hint if step_hint is not None else 30.0 / max(spread, 1.0)
-    n_steps = max(1, int(math.ceil(t / h0)))
-    verify_order = max(order, min(order + 16, v0.size))
-
-    coarse = _propagate(spec.matrix, v0, t, n_steps, order)
-    history = []
-    for _ in range(max_refinements + 1):
-        n_steps *= 2
-        fine = _propagate(spec.matrix, v0, t, n_steps, verify_order)
-        diff = float(np.linalg.norm(fine - coarse))
-        history.append({"n_steps": n_steps, "order": verify_order, "diff": diff})
-        if diff <= 1e-8:
-            drift = abs(float(np.linalg.norm(fine)) - 1.0)
-            if drift > 1e-9:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeds 1e-9",
-                    diagnostics={"history": history, "drift": drift})
-            out = JointState.from_vector(fine, state.params)
-            out.require_tail()
-            return out
-        coarse = fine
-    raise IntegrationError(
-        f"no convergence to 1e-8 after {max_refinements} refinements "
-        f"(last change {history[-1]['diff']:.3e})",
-        diagnostics={"history": history})
+    out, err = expm_checked(t, (spec.matrix, v0), (spec.matrix, v0))
+    if not err <= _AGREEMENT_TOL:
+        raise IntegrationError(
+            f"whole step and two half steps differ by {err:.3e}, above 1e-8",
+            diagnostics={"error_estimate": err})
+    return JointState.from_vector(out, state.params).require_tail()
 
 
 def project_chi(state: JointState, target: CollectiveState) -> FieldState:

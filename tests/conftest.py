@@ -3,19 +3,23 @@
 Nothing here imports evaluation code from the package under test: the
 Laguerre oracle is the exact finite series in rational arithmetic, the
 displacement oracles are a truncated matrix exponential (float64) and a
-normal-ordered series in 50-digit arithmetic, and the joint-model
+normal-ordered series in 50-digit arithmetic, the second-order Dyson
+kernel is written out from the displacement oracle, and the joint-model
 oracle builds the full 2^N product-space Hamiltonian with dense kron
 products.  Tests freeze values computed from these, then compare the
-package against them.
+package against them.  One fault injector rounds the file off: an
+exponential engine whose repeated steps disagree.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 import math
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 
 def laguerre_series(n: int, k: int, x) -> Fraction | float:
@@ -48,6 +52,42 @@ def displacement_expm(ncut: int, alpha: complex) -> np.ndarray:
     ad = np.diag(np.sqrt(n), -1)
     gen = alpha * ad - np.conj(alpha) * ad.conj().T
     return scipy.linalg.expm(gen)
+
+
+def second_order_kernel(params, t_outer: float, t_inner: float,
+                        amplitudes: np.ndarray) -> np.ndarray:
+    """Integrand vector of the nested second-order Dyson correction at
+    one (t', t'') pair, for an initial field of ``amplitudes``.
+
+    In the interaction picture of the sector propagators it is
+    e^{i (Theta(t'') - Theta(t'))} e^{-i Im(a' conj(a''))} D[a'' - a'] psi0
+    with Theta(s) = 4 (N-1) (g/omega)^2 (omega s - sin omega s) and
+    a(s) = (2 g / omega)(1 - e^{i omega s}).  The displacement is
+    :func:`displacement_expm` on a ladder of twice the length, sliced
+    back, so the truncation edge stays far from the levels used.
+    """
+    ratio = params.g / params.omega
+
+    def theta(s):
+        ws = params.omega * s
+        return 4.0 * (params.n_atoms - 1) * ratio**2 * (ws - math.sin(ws))
+
+    def center(s):
+        return 2.0 * ratio * (1.0 - cmath.exp(1j * params.omega * s))
+
+    a_out, a_in = center(t_outer), center(t_inner)
+    comp = cmath.exp(-1j * (a_out * a_in.conjugate()).imag)
+    phase = cmath.exp(1j * (theta(t_inner) - theta(t_outer)))
+    dim = len(amplitudes)
+    disp = displacement_expm(2 * dim, a_in - a_out)[:dim, :dim]
+    return (phase * comp) * (disp @ amplitudes)
+
+
+def phase_kicked_expm_multiply(a, v):
+    """scipy's ``expm_multiply`` with a spurious phase e^{i 1e-6} on every
+    call: each application stays unitary, but one whole step and two half
+    steps then differ by about 1e-6."""
+    return np.exp(1e-6j) * expm_multiply(a, v)
 
 
 def displacement_series_mp(n: int, k: int, alpha: complex, dps: int = 50):

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import displacement_expm
+from conftest import displacement_expm, phase_kicked_expm_multiply, second_order_kernel
+from thermolim import evolver
 from thermolim.dyson import (
     CorrectionRecord,
     first_order_correction,
     oscillatory_integral,
     scaling_fit,
     second_order_correction,
-    second_order_kernel,
     write_corrections_csv,
 )
 from thermolim.errors import DomainError
 from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
 from thermolim.fock import FieldState, ModelParams, choose_cutoff, coherent_state
+from thermolim.harness import ScenarioConfig, run_scenario
 from thermolim.propagator import evolve_fock_leading
 from thermolim.spins import chi_state
 
@@ -218,15 +219,15 @@ class TestSecondOrderCorrection:
         upper = np.zeros_like(square)
         for a, wa in zip(to, wo):
             for b, wb in zip(to, wo):
-                square += wa * wb * second_order_kernel(p, a, b, v0)
+                square += wa * wb * second_order_kernel(p, a, b, v0.amplitudes)
             ti = (a / 2.0) * (x + 1.0)
             wi = (a / 2.0) * w
             for b, wb in zip(ti, wi):
-                lower += wa * wb * second_order_kernel(p, a, b, v0)
+                lower += wa * wb * second_order_kernel(p, a, b, v0.amplitudes)
             ti = a + ((big_t - a) / 2.0) * (x + 1.0)
             wi = ((big_t - a) / 2.0) * w
             for b, wb in zip(ti, wi):
-                upper += wa * wb * second_order_kernel(p, a, b, v0)
+                upper += wa * wb * second_order_kernel(p, a, b, v0.amplitudes)
         resid = np.linalg.norm(square - lower - upper)
         assert resid <= 1e-12 * max(1.0, float(np.linalg.norm(lower)))
 
@@ -245,7 +246,7 @@ class TestSecondOrderCorrection:
             ti = (a / 2.0) * (x + 1.0)
             wi = (a / 2.0) * w
             for b, wb in zip(ti, wi):
-                tri += wa * wb * second_order_kernel(p, a, b, v0)
+                tri += wa * wb * second_order_kernel(p, a, b, v0.amplitudes)
         scale = p.n_atoms * p.g / p.omega
         xi = scale**2 * (p.omega * t - math.sin(p.omega * t))
         beta = scale * (1.0 - np.exp(1j * p.omega * t))
@@ -283,6 +284,40 @@ class TestSecondOrderCorrection:
         assert ratios[1] > ratios[0]
         assert ratios[2] < ratios[1]
         assert ratios[3] > ratios[2]
+
+
+# ------------------------------------------------- engine checks
+
+class TestCorrectionChecks:
+    def test_cutoff_guard_at_sixteen_atoms(self):
+        # The truncated sector Hamiltonian reflects amplitude at the top of
+        # the Fock ladder: a block exponential on the bare cutoff misses a
+        # cutoff-converged reference by 2e-8 (first order) and 9e-8
+        # (second order).
+        p = params_for(16, 0.3, delta=0.02)
+        ncut = choose_cutoff(p, 10.0, 0.0, 0)
+        for correction in (first_order_correction, second_order_correction):
+            rec = correction(p, math.pi, vacuum(ncut))
+            ref = correction(p, math.pi, vacuum(ncut + 200))
+            ref_amps = ref.field_correction.amplitudes[: ncut + 1]
+            dev = np.linalg.norm(rec.field_correction.amplitudes - ref_amps)
+            assert dev <= 1e-8 * np.linalg.norm(ref_amps)
+            assert rec.converged
+            assert rec.diagnostics["error_estimate"] <= 1e-8
+
+    def test_engine_disagreement_is_flagged(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(evolver, "expm_multiply", phase_kicked_expm_multiply)
+        p = params_for(2, 0.3, delta=0.02)
+        for correction in (first_order_correction, second_order_correction):
+            rec = correction(p, 1.0, vacuum(30))
+            assert not rec.converged
+            assert rec.diagnostics["error_estimate"] > 1e-8
+        run = run_scenario(ScenarioConfig.from_mapping(dict(
+            study="dyson-scaling", delta=0.02, g=0.3, n_atoms=2,
+            t_max=1.0, n_steps=1, out_dir=str(tmp_path))))
+        assert run.convergence_flags == (
+            "first-order quadrature not converged at t=1",
+            "second-order quadrature not converged at t=1")
 
 
 # ------------------------------------------------- consistency vs exact

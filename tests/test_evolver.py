@@ -1,13 +1,20 @@
-"""Exact evolver: Hamiltonian construction, Krylov stepping, sector
-projections, and the referee comparisons against closed forms."""
+"""Exact evolver: Hamiltonian construction, checked exponential
+stepping, sector projections, and the referee comparisons against
+closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
-from conftest import product_space_hamiltonian, symmetric_sector_embedding
+from conftest import (
+    phase_kicked_expm_multiply,
+    product_space_hamiltonian,
+    symmetric_sector_embedding,
+)
+from thermolim import evolver
 from thermolim.errors import (
     CapacityError,
     DomainError,
@@ -67,7 +74,9 @@ class TestBuildHamiltonian:
 
     def test_block_diagonal_without_splitting(self):
         spec = build_hamiltonian(params_for(4, 0.3), 12)
-        assert spec.splitting_part.nnz == 0
+        coo = spec.matrix.tocoo()
+        # sector-major storage: index // (ncut+1) is the sector
+        assert np.array_equal(coo.row // 13, coo.col // 13)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -191,13 +200,21 @@ class TestEvolveExact:
         assert all(v < 1e-4 for v in infids.values())
         assert infids[2] < infids[8]
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
+        # a phase kick per call breaks whole-vs-half-step agreement, a
+        # leak per call breaks the norm; both must raise with diagnostics
+        def leaky(a, v):
+            return (1.0 - 1e-6) * scipy.sparse.linalg.expm_multiply(a, v)
+
         p = ModelParams(omega=1.0, delta=0.4, g=0.3, n_atoms=4)
         spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
-        with pytest.raises(IntegrationError) as err:
-            evolve_exact(st, 6.0, spec, order=4, step_hint=6.0, max_refinements=0)
-        assert "history" in err.value.diagnostics
+        for engine, key, tol in [(phase_kicked_expm_multiply, "error_estimate", 1e-8),
+                                 (leaky, "drift", 1e-9)]:
+            monkeypatch.setattr(evolver, "expm_multiply", engine)
+            with pytest.raises(IntegrationError) as err:
+                evolve_exact(st, 6.0, spec)
+            assert err.value.diagnostics[key] > tol
 
     def test_negative_time_rejected(self):
         p = params_for(2, 0.2)
