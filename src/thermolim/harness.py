@@ -201,7 +201,7 @@ class ScenarioConfig:
     def from_mapping(cls, raw: dict[str, Any], **overrides: Any) -> "ScenarioConfig":
         merged = dict(_DEFAULTS)
         for key, value in raw.items():
-            if key not in _DEFAULTS and not key.startswith("tol_"):
+            if key not in _DEFAULTS:
                 raise ValidationError(f"{key}: unknown config key")
             merged[key] = value
         for key, value in overrides.items():

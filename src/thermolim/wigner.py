@@ -45,6 +45,7 @@ __all__ = [
 
 MAX_SPACING = 0.25  # resolves unit-variance Gaussian envelopes
 _WGRD_MAGIC = b"WGRD"
+_WGRD_VERSION = 2  # tag 0 marks version 1: float32 bounds only
 
 
 @dataclass(frozen=True)
@@ -153,19 +154,26 @@ def wigner_numeric(state: FieldState, grid: WignerGrid) -> WignerGrid:
     grid reaches.  States whose tail mass exceeds 1e-6 are rejected:
     past that point the missing amplitudes would corrupt the sum by
     more than the advertised accuracy.
+
+    The sum runs over the state's support only: ``dmax`` is the last
+    photon number whose suffix norm sqrt(sum_{n>=dmax} |psi_n|^2) is at
+    least 1e-12, and diagonal d runs to row dmax - d, not to the cutoff.
+    Every dropped term holds an amplitude above ``dmax``, so by
+    Cauchy-Schwarz (|M| <= 1) each diagonal changes by less than 1e-12.
     """
     state.require_tail(1e-6)
-    psi = state.amplitudes
-    ncut = state.ncut
-    signs = (-1.0) ** np.arange(ncut + 1)
-    # |S_d| <= sqrt(sum_{j>=d} |psi_j|^2) by Cauchy-Schwarz: stop once
-    # the remaining diagonals cannot contribute above rounding level
-    suffix = np.sqrt(np.cumsum((np.abs(psi) ** 2)[::-1])[::-1])
-    dmax = ncut
+    amps = state.amplitudes
+    suffix = np.sqrt(np.cumsum((np.abs(amps) ** 2)[::-1])[::-1])
+    dmax = amps.size - 1
     while dmax > 0 and suffix[dmax] < 1e-12:
         dmax -= 1
-    weights = [np.conjugate(psi[d:]) * signs[: ncut - d + 1] * psi[: ncut - d + 1]
-               for d in range(dmax + 1)]
+    psi = amps[: dmax + 1]
+    signs = (-1.0) ** np.arange(dmax + 1)
+    # real and imaginary parts stacked, so each diagonal is one real GEMM
+    weights = []
+    for d in range(dmax + 1):
+        w = np.conjugate(psi[d:]) * signs[: dmax - d + 1] * psi[: dmax - d + 1]
+        weights.append(np.stack([w.real, w.imag]))
 
     X, P = grid.meshgrid()
     xs, ps = X.ravel(), P.ravel()
@@ -179,8 +187,8 @@ def wigner_numeric(state: FieldState, grid: WignerGrid) -> WignerGrid:
         acc = np.zeros(x.size)
         ph = np.ones(x.size, dtype=complex)
         for d in range(dmax + 1):
-            m = _scaled_diagonal(d, xarg, ncut - d)
-            contrib = np.real(ph * (weights[d] @ m))
+            re, im = weights[d] @ _scaled_diagonal(d, xarg, dmax - d)
+            contrib = ph.real * re - ph.imag * im
             acc += contrib if d == 0 else 2.0 * contrib
             ph *= eith
         out[lo:lo + chunk] = acc / math.pi
@@ -348,42 +356,50 @@ def fringe_visibility(w_full: WignerGrid, w_branches: WignerGrid) -> float:
 # ------------------------------------------------------------- serialization
 
 def save_wgrd(grid: WignerGrid, path) -> None:
-    """Dense binary block: 32-byte header (magic "WGRD", uint32 nx/np,
-    float32 bounds, 4 reserved bytes), then row-major float64 values,
-    all little-endian."""
+    """Dense binary block, all little-endian: a 32-byte header (magic
+    "WGRD", uint32 nx/np, float32 bounds, uint32 version tag 2), the
+    four bounds again as float64, then row-major float64 values."""
     header = (_WGRD_MAGIC
               + struct.pack("<II", grid.nx, grid.np)
               + struct.pack("<4f", grid.x_min, grid.x_max, grid.p_min, grid.p_max)
-              + b"\x00" * 4)
-    assert len(header) == 32
+              + struct.pack("<I", _WGRD_VERSION)
+              + struct.pack("<4d", grid.x_min, grid.x_max, grid.p_min, grid.p_max))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(grid.values, dtype="<f8").tobytes())
 
 
 def load_wgrd(path) -> WignerGrid:
+    """Read a WGRD block.  Version 1 blocks (tag 0: reserved bytes, no
+    float64 bounds) still load, with their float32 bounds."""
     with open(path, "rb") as fh:
         header = fh.read(32)
         if len(header) != 32 or header[:4] != _WGRD_MAGIC:
             raise ValidationError(f"{path}: not a WGRD block")
         nx, npts = struct.unpack("<II", header[4:12])
-        x_min, x_max, p_min, p_max = struct.unpack("<4f", header[12:28])
+        bounds = struct.unpack("<4f", header[12:28])
+        (version,) = struct.unpack("<I", header[28:32])
+        if version == _WGRD_VERSION:
+            extents = fh.read(32)
+            if len(extents) != 32:
+                raise ValidationError(f"{path}: truncated WGRD header")
+            bounds = struct.unpack("<4d", extents)
+        elif version != 0:
+            raise ValidationError(f"{path}: unknown WGRD version tag {version}")
         data = np.frombuffer(fh.read(nx * npts * 8), dtype="<f8")
     if data.size != nx * npts:
         raise ValidationError(f"{path}: truncated WGRD payload")
-    return WignerGrid(float(x_min), float(x_max), float(p_min), float(p_max),
-                      nx, npts, data.reshape(nx, npts))
+    return WignerGrid(*bounds, nx, npts, data.reshape(nx, npts))
 
 
 def save_csv(grid: WignerGrid, path) -> None:
     """Three-column x,p,W rows, x-major, '.' decimals, LF endings."""
-    xs = grid.x_axis
-    ps = grid.p_axis
+    ps = [f"{p:.17g}," for p in grid.p_axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,p,W\n")
-        for i in range(grid.nx):
-            for j in range(grid.np):
-                fh.write(f"{xs[i]:.17g},{ps[j]:.17g},{grid.values[i, j]:.17g}\n")
+        for x, row in zip(grid.x_axis.tolist(), grid.values.tolist()):
+            xc = f"{x:.17g},"
+            fh.write("".join([f"{xc}{p}{v:.17g}\n" for p, v in zip(ps, row)]))
 
 
 def load_csv(path) -> WignerGrid:

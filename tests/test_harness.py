@@ -125,10 +125,9 @@ class TestValidation:
         assert res["omega"] == 1.0
         assert res["sweep_axis"] is None
 
-    def test_tolerance_passthrough(self):
-        cfg = make_config(study="cat", tol_custom=0.5)
-        assert cfg.tolerances["tol_custom"] == 0.5
-        assert cfg.resolved()["tol_custom"] == 0.5
+    def test_unknown_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="tol_custom"):
+            make_config(study="cat", tol_custom=0.5)
 
     def test_overrides_beat_file_values(self):
         cfg = ScenarioConfig.from_mapping(

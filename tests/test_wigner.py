@@ -2,6 +2,7 @@
 time averaging, visibility, serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ from thermolim.wigner import (
 
 def params_for(n_atoms, g, omega=1.0, delta=0.0):
     return ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+
+
+def bruteforce_wigner(amps, x, p, pad):
+    """(1/pi) sum_n (-1)^n |<n|D(-lam)|psi>|^2 with the state zero-padded
+    to a ``pad`` ladder, so the truncated-generator expm is converged;
+    padding does not change the state, so W must agree."""
+    padded = np.zeros(pad + 1, complex)
+    padded[: amps.size] = amps
+    lam = (x + 1j * p) / math.sqrt(2)
+    rotated = displacement_expm(pad, -lam) @ padded
+    return np.sum((-1.0) ** np.arange(pad + 1) * np.abs(rotated) ** 2) / math.pi
 
 
 def gaussian_on(grid, center):
@@ -106,20 +118,32 @@ class TestWignerNumeric:
         amps[-8:] *= 1e-6  # keep the tail certified
         amps /= np.linalg.norm(amps)
         psi = FieldState(amps)
-        # zero-pad the oracle so its truncated-generator expm is converged;
-        # padding does not change the state, so the W values must agree
-        pad = 60
-        padded = np.zeros(pad + 1, complex)
-        padded[: ncut + 1] = amps
-        signs = (-1.0) ** np.arange(pad + 1)
         for ox, op in [(0.3, -0.4), (1.1, 0.9), (-0.7, 0.2)]:
             grid = WignerGrid.empty(ox, ox + 0.2, op, op + 0.2, 0.2)
             w = wigner_numeric(psi, grid)
             for i, x in enumerate(grid.x_axis):
                 for j, p in enumerate(grid.p_axis):
-                    lam = (x + 1j * p) / math.sqrt(2)
-                    rotated = displacement_expm(pad, -lam) @ padded
-                    brute = np.sum(signs * np.abs(rotated) ** 2) / math.pi
+                    brute = bruteforce_wigner(amps, x, p, pad=60)
+                    assert w.values[i, j] == pytest.approx(brute, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["coherent", "gapped"])
+    def test_support_truncation_matches_bruteforce(self, case):
+        # the sum stops at the state's support, far below the cutoff; a
+        # gap in the support must not hide the component above it
+        if case == "coherent":
+            amps, pad = coherent_state(1.0, 120).amplitudes, 200
+        else:
+            amps = np.zeros(81, complex)
+            amps[0], amps[35] = 0.6, 0.8j
+            pad = 260
+        psi = FieldState(amps)
+        # the last corner has |lambda|^2 = (x^2 + p^2) / 2 > 30
+        for ox, op in [(0.3, -0.4), (-2.5, 1.5), (5.9, 5.3)]:
+            grid = WignerGrid.empty(ox, ox + 0.2, op, op + 0.2, 0.2)
+            w = wigner_numeric(psi, grid)
+            for i, x in enumerate(grid.x_axis):
+                for j, p in enumerate(grid.p_axis):
+                    brute = bruteforce_wigner(amps, x, p, pad)
                     assert w.values[i, j] == pytest.approx(brute, abs=1e-10)
 
     def test_parity_bound_everywhere(self):
@@ -366,18 +390,47 @@ class TestSerialization:
         save_wgrd(w, path)
         back = load_wgrd(path)
         np.testing.assert_array_equal(back.values, w.values)
-        assert back.nx == w.nx and back.np == w.np
-        # bounds travel as float32
-        assert back.x_min == pytest.approx(w.x_min, rel=1e-6)
-        assert back.p_max == pytest.approx(w.p_max, rel=1e-6)
+        # bounds travel as float64
+        assert back.same_geometry(w)
 
-    def test_binary_header_is_32_bytes(self, tmp_path):
+    def test_binary_roundtrip_keeps_spacing_cap(self, tmp_path):
+        # float32 bounds widened this span past the 0.25 spacing cap
+        grid = WignerGrid.empty(-3.3, 5.7, -1.1, 2.9, 0.25)
+        path = tmp_path / "w.wgrd"
+        save_wgrd(grid, path)
+        assert load_wgrd(path).same_geometry(grid)
+
+    def test_binary_header_layout(self, tmp_path):
         grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
         path = tmp_path / "w.wgrd"
         save_wgrd(grid, path)
         raw = path.read_bytes()
         assert raw[:4] == b"WGRD"
-        assert len(raw) == 32 + grid.nx * grid.np * 8
+        assert struct.unpack("<II", raw[4:12]) == (grid.nx, grid.np)
+        assert struct.unpack("<I", raw[28:32]) == (2,)
+        assert struct.unpack("<4d", raw[32:64]) == (-1.0, 1.0, -1.0, 1.0)
+        assert len(raw) == 64 + grid.nx * grid.np * 8
+
+    def test_binary_version1_still_loads(self, tmp_path):
+        grid = WignerGrid.empty(-3.3, 5.7, -1.1, 2.9, 0.25)
+        vals = np.arange(grid.nx * grid.np, dtype=float).reshape(grid.nx, grid.np)
+        path = tmp_path / "v1.wgrd"
+        path.write_bytes(b"WGRD" + struct.pack("<II", grid.nx, grid.np)
+                         + struct.pack("<4f", -3.0, 5.5, -1.0, 2.75)
+                         + b"\x00" * 4 + vals.astype("<f8").tobytes())
+        back = load_wgrd(path)
+        assert (back.x_min, back.x_max, back.p_min, back.p_max) == (-3.0, 5.5, -1.0, 2.75)
+        np.testing.assert_array_equal(back.values, vals)
+
+    def test_binary_unknown_version_rejected(self, tmp_path):
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        path = tmp_path / "w.wgrd"
+        save_wgrd(grid, path)
+        raw = bytearray(path.read_bytes())
+        raw[28:32] = struct.pack("<I", 7)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="version"):
+            load_wgrd(path)
 
     def test_binary_magic_checked(self, tmp_path):
         path = tmp_path / "bad.wgrd"
@@ -406,3 +459,17 @@ class TestSerialization:
         back = load_csv(path)
         np.testing.assert_allclose(back.values, w.values, rtol=0, atol=0)
         assert back.nx == w.nx and back.np == w.np
+
+    def test_csv_bytes_match_line_by_line_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        grid = WignerGrid.empty(-1.3, 0.9, -0.7, 1.1, 0.25)
+        vals = rng.normal(size=(grid.nx, grid.np)) * 10.0 ** rng.integers(-20, 3, (grid.nx, grid.np))
+        vals[0, 0], vals[1, 1] = 0.0, -0.0
+        w = grid.with_values(vals)
+        path = tmp_path / "w.csv"
+        save_csv(w, path)
+        expected = ["x,p,W\n"]
+        for i, x in enumerate(w.x_axis):
+            for j, p in enumerate(w.p_axis):
+                expected.append(f"{x:.17g},{p:.17g},{w.values[i, j]:.17g}\n")
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
