@@ -81,7 +81,6 @@ from .dyson import (
     oscillatory_integral,
     scaling_fit,
     second_order_correction,
-    write_corrections_csv,
 )
 from .harness import (
     RunRecord,

@@ -43,7 +43,6 @@ __all__ = [
     "first_order_correction",
     "second_order_correction",
     "scaling_fit",
-    "write_corrections_csv",
 ]
 
 _REL_TOL = 1e-8
@@ -188,13 +187,3 @@ def scaling_fit(points) -> dict:
     ss_res = float(np.sum(resid**2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return {"exponent": float(slope), "r_squared": r2}
-
-
-def write_corrections_csv(records, path) -> None:
-    """One row per record: order, N, t, amplitude_norm, quadrature_error."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("order,N,t,amplitude_norm,quadrature_error\n")
-        for r in records:
-            fh.write(f"{r.order},{r.params.n_atoms},{r.t:.17g},"
-                     f"{r.amplitude_norm:.17g},"
-                     f"{r.diagnostics['error_estimate']:.17g}\n")

@@ -16,7 +16,7 @@ import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -28,7 +28,7 @@ from .dyson import (
     scaling_fit,
     second_order_correction,
 )
-from .errors import ThermolimError, ValidationError
+from .errors import DomainError, ThermolimError, ValidationError
 from .evolver import (
     JointState,
     build_hamiltonian,
@@ -79,43 +79,22 @@ STUDY_NAMES = ("spin-classical", "cat", "fock", "wigner",
 SWEEP_AXES = ("n_atoms", "delta", "g", "alpha", "phi", "fock_k",
               "t_max", "seed")
 
-_DEFAULTS: dict[str, Any] = {
-    "study": None,
-    "omega": 1.0,
-    "delta": 0.0,
-    "g": 0.25,
-    "n_atoms": 4,
-    "alpha": 2.0,
-    "phi": math.pi / 2,
-    "fock_k": 0,
-    "initial_state": "vacuum",      # dyson-scaling: vacuum | cat | fock
-    "spin_source": "seeded",        # spin-classical: seeded | explicit
-    "spin_a": None,                 # explicit: list of [re, im] per site
-    "spin_b": None,
-    "t_max": 2 * math.pi,
-    "n_steps": 16,
-    "grid_spacing": 0.1,
-    "grid_nsigma": 6.0,
-    "avg_samples": 64,
-    "seed": 0,
-    "workers": 1,
-    "out_dir": None,                # resolved to runs/<study>
-    "emit_wigner_bin": False,
-    "sweep_axis": None,
-    "sweep_values": None,
-    "sweep_limit": 64,
-    "tol_tail": 1e-8,
-}
-
 _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def parse_config(text: str) -> dict[str, Any]:
     """Parse flat ``key = value`` lines; values are JSON literals.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys, duplicate
-    keys, and unparseable values raise a validation error naming the
-    offender.
+    keys, and unparseable or non-finite values raise a validation error
+    naming the offender.
     """
     out: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -131,8 +110,9 @@ def parse_config(text: str) -> dict[str, Any]:
         if key in out:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         try:
-            out[key] = json.loads(rhs.strip())
-        except json.JSONDecodeError as exc:
+            out[key] = json.loads(rhs.strip(), parse_float=_finite_float,
+                                  parse_constant=_finite_float)
+        except ValueError as exc:
             raise ValidationError(
                 f"line {lineno}: value for {key!r} is not a JSON literal: {exc}"
             ) from exc
@@ -157,196 +137,157 @@ def _as_int(value: Any, name: str) -> int:
 def _as_number(value: Any, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              name, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _require(math.isfinite(number), name, f"must be finite, got {value!r}")
+    return number
 
 
-def _spin_array(value: Any, name: str, n_atoms: int) -> np.ndarray:
-    _require(isinstance(value, list) and len(value) == n_atoms, name,
+# ScenarioConfig's checks by field annotation; the module postpones
+# annotations, so ``dataclasses.Field.type`` is the annotation's text.
+_TYPE_CHECKS = {"float": _as_number, "int": _as_int}
+
+
+def _spin_pairs(value: Any, name: str, n_atoms: int) -> tuple:
+    _require(isinstance(value, (list, tuple)) and len(value) == n_atoms, name,
              f"must be a list of {n_atoms} [re, im] pairs")
     try:
-        arr = np.array([complex(re_, im_) for re_, im_ in value])
+        return tuple((_as_number(re_, name), _as_number(im_, name))
+                     for re_, im_ in value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: entries must be [re, im] pairs") from exc
-    return arr
+
+
+def _spin_vector(pairs) -> np.ndarray:
+    return np.array([complex(re_, im_) for re_, im_ in pairs])
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully resolved, validated description of one study run."""
+    """A fully resolved, validated description of one study run.
 
-    study: str
-    params: ModelParams
-    alpha: float
-    phi: float
-    fock_k: int
-    initial_state: str
-    spin_source: str
-    spin_a: np.ndarray | None
-    spin_b: np.ndarray | None
-    t_max: float
-    n_steps: int
-    grid_spacing: float
-    grid_nsigma: float
-    avg_samples: int
-    seed: int
-    workers: int
-    out_dir: str
-    emit_wigner_bin: bool
-    sweep_axis: str | None
-    sweep_values: tuple | None
-    sweep_limit: int
-    tolerances: dict[str, float] = field(default_factory=dict)
+    Each field is one config key with its default.  ``params`` is derived:
+    the ``ModelParams`` of ``omega``, ``delta``, ``g`` and ``n_atoms``."""
 
-    @classmethod
-    def from_mapping(cls, raw: dict[str, Any], **overrides: Any) -> "ScenarioConfig":
-        merged = dict(_DEFAULTS)
-        for key, value in raw.items():
-            if key not in _DEFAULTS:
-                raise ValidationError(f"{key}: unknown config key")
-            merged[key] = value
-        for key, value in overrides.items():
-            if value is not None:
-                merged[key] = value
+    study: str | None = None
+    omega: float = 1.0
+    delta: float = 0.0
+    g: float = 0.25
+    n_atoms: int = 4
+    alpha: float = 2.0
+    phi: float = math.pi / 2
+    fock_k: int = 0
+    initial_state: str = "vacuum"      # dyson-scaling: vacuum | cat | fock
+    spin_source: str = "seeded"        # spin-classical: seeded | explicit
+    spin_a: tuple | None = None        # explicit: one (re, im) pair per site
+    spin_b: tuple | None = None
+    t_max: float = 2 * math.pi
+    n_steps: int = 16
+    grid_spacing: float = 0.1
+    grid_nsigma: float = 6.0
+    avg_samples: int = 64
+    seed: int = 0
+    workers: int = 1
+    out_dir: str | None = None         # None resolves to runs/<study>
+    emit_wigner_bin: bool = False
+    sweep_axis: str | None = None
+    sweep_values: tuple | None = None
+    sweep_limit: int = 64
+    tol_tail: float = 1e-8
 
-        study = merged["study"]
-        _require(study in STUDY_NAMES, "study",
-                 f"must be one of {list(STUDY_NAMES)}, got {study!r}")
+    def __post_init__(self) -> None:
+        def put(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
 
-        omega = _as_number(merged["omega"], "omega")
-        _require(omega > 0, "omega", f"must be positive, got {omega}")
-        delta = _as_number(merged["delta"], "delta")
-        _require(delta >= 0, "delta", f"must be nonnegative, got {delta}")
-        g = _as_number(merged["g"], "g")
-        _require(g >= 0, "g", f"must be nonnegative, got {g}")
-        n_atoms = _as_int(merged["n_atoms"], "n_atoms")
-        _require(n_atoms >= 1, "n_atoms", f"must be >= 1, got {n_atoms}")
-        params = ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+        _require(self.study in STUDY_NAMES, "study",
+                 f"must be one of {list(STUDY_NAMES)}, got {self.study!r}")
+        for f in dataclasses.fields(self):
+            check = _TYPE_CHECKS.get(f.type)
+            if check is not None:
+                put(f.name, check(getattr(self, f.name), f.name))
+        try:
+            put("params", ModelParams(omega=self.omega, delta=self.delta,
+                                      g=self.g, n_atoms=self.n_atoms))
+        except DomainError as exc:
+            raise ValidationError(str(exc)) from exc
 
-        alpha = _as_number(merged["alpha"], "alpha")
-        _require(alpha >= 0, "alpha", f"must be >= 0, got {alpha}")
-        phi = _as_number(merged["phi"], "phi")
-        fock_k = _as_int(merged["fock_k"], "fock_k")
-        _require(fock_k >= 0, "fock_k", f"must be >= 0, got {fock_k}")
+        _require(self.alpha >= 0, "alpha", f"must be >= 0, got {self.alpha}")
+        _require(self.fock_k >= 0, "fock_k", f"must be >= 0, got {self.fock_k}")
+        _require(self.initial_state in ("vacuum", "cat", "fock"), "initial_state",
+                 f"must be vacuum, cat, or fock, got {self.initial_state!r}")
+        if self.study in ("dyson-scaling", "convergence"):
+            _require(self.delta > 0, "delta",
+                     f"{self.study} measures detuning corrections; need delta > 0")
 
-        initial = merged["initial_state"]
-        _require(initial in ("vacuum", "cat", "fock"), "initial_state",
-                 f"must be vacuum, cat, or fock, got {initial!r}")
-        if study in ("dyson-scaling", "convergence"):
-            _require(delta > 0, "delta",
-                     f"{study} measures detuning corrections; need delta > 0")
-
-        source = merged["spin_source"]
-        _require(source in ("seeded", "explicit"), "spin_source",
-                 f"must be seeded or explicit, got {source!r}")
-        spin_a = spin_b = None
-        if source == "explicit":
-            spin_a = _spin_array(merged["spin_a"], "spin_a", n_atoms)
-            spin_b = _spin_array(merged["spin_b"], "spin_b", n_atoms)
-            norms = np.abs(spin_a) ** 2 + np.abs(spin_b) ** 2
+        _require(self.spin_source in ("seeded", "explicit"), "spin_source",
+                 f"must be seeded or explicit, got {self.spin_source!r}")
+        if self.spin_source == "explicit":
+            put("spin_a", _spin_pairs(self.spin_a, "spin_a", self.n_atoms))
+            put("spin_b", _spin_pairs(self.spin_b, "spin_b", self.n_atoms))
+            norms = (np.abs(_spin_vector(self.spin_a)) ** 2
+                     + np.abs(_spin_vector(self.spin_b)) ** 2)
             _require(bool(np.all(np.abs(norms - 1.0) <= 1e-12)), "spin_b",
                      "per-site |a|^2 + |b|^2 must equal 1")
         else:
-            _require(merged["spin_a"] is None and merged["spin_b"] is None,
+            _require(self.spin_a is None and self.spin_b is None,
                      "spin_a", "only allowed with spin_source = \"explicit\"")
 
-        t_max = _as_number(merged["t_max"], "t_max")
-        _require(t_max > 0, "t_max", f"must be positive, got {t_max}")
-        n_steps = _as_int(merged["n_steps"], "n_steps")
-        _require(n_steps >= 1, "n_steps", f"must be >= 1, got {n_steps}")
+        _require(self.t_max > 0, "t_max", f"must be positive, got {self.t_max}")
+        _require(self.n_steps >= 1, "n_steps", f"must be >= 1, got {self.n_steps}")
+        _require(0 < self.grid_spacing <= 0.25, "grid_spacing",
+                 f"must lie in (0, 0.25], got {self.grid_spacing}")
+        _require(self.grid_nsigma > 0, "grid_nsigma",
+                 f"must be positive, got {self.grid_nsigma}")
+        _require(self.avg_samples >= 64, "avg_samples",
+                 f"must be >= 64, got {self.avg_samples}")
+        _require(0 <= self.seed < 2**64, "seed", f"must fit in u64, got {self.seed}")
+        _require(self.workers >= 1, "workers", f"must be >= 1, got {self.workers}")
 
-        spacing = _as_number(merged["grid_spacing"], "grid_spacing")
-        _require(0 < spacing <= 0.25, "grid_spacing",
-                 f"must lie in (0, 0.25], got {spacing}")
-        nsigma = _as_number(merged["grid_nsigma"], "grid_nsigma")
-        _require(nsigma > 0, "grid_nsigma", f"must be positive, got {nsigma}")
-        avg_samples = _as_int(merged["avg_samples"], "avg_samples")
-        _require(avg_samples >= 64, "avg_samples", f"must be >= 64, got {avg_samples}")
-
-        seed = _as_int(merged["seed"], "seed")
-        _require(0 <= seed < 2**64, "seed", f"must fit in u64, got {seed}")
-        workers = _as_int(merged["workers"], "workers")
-        _require(workers >= 1, "workers", f"must be >= 1, got {workers}")
-
-        axis = merged["sweep_axis"]
-        values = merged["sweep_values"]
-        limit = _as_int(merged["sweep_limit"], "sweep_limit")
+        axis, values, limit = self.sweep_axis, self.sweep_values, self.sweep_limit
         _require(limit >= 1, "sweep_limit", f"must be >= 1, got {limit}")
         if axis is not None:
             _require(axis in SWEEP_AXES, "sweep_axis",
                      f"must be one of {list(SWEEP_AXES)}, got {axis!r}")
-            _require(isinstance(values, list) and len(values) > 0,
+            _require(isinstance(values, (list, tuple)) and len(values) > 0,
                      "sweep_values", "must be a nonempty list when sweep_axis is set")
             _require(len(values) <= limit, "sweep_values",
                      f"{len(values)} points exceed sweep_limit = {limit}")
             _require(len(set(map(repr, values))) == len(values),
                      "sweep_values", "values must be distinct")
+            put("sweep_values", tuple(values))
         else:
             _require(values is None, "sweep_values",
                      "set sweep_axis to use sweep_values")
 
-        out_dir = merged["out_dir"] or f"runs/{study}"
-        _require(isinstance(out_dir, str) and out_dir != "", "out_dir",
-                 "must be a nonempty path string")
-        _require(isinstance(merged["emit_wigner_bin"], bool), "emit_wigner_bin",
-                 f"must be true or false, got {merged['emit_wigner_bin']!r}")
+        if self.out_dir is None:
+            put("out_dir", f"runs/{self.study}")
+        _require(isinstance(self.out_dir, str) and self.out_dir != "", "out_dir",
+                 f"must be a nonempty path string, got {self.out_dir!r}")
+        _require(isinstance(self.emit_wigner_bin, bool), "emit_wigner_bin",
+                 f"must be true or false, got {self.emit_wigner_bin!r}")
 
-        tolerances = {k: _as_number(v, k) for k, v in merged.items()
-                      if k.startswith("tol_")}
-
-        return cls(
-            study=study, params=params, alpha=alpha, phi=phi, fock_k=fock_k,
-            initial_state=initial, spin_source=source, spin_a=spin_a,
-            spin_b=spin_b, t_max=t_max, n_steps=n_steps, grid_spacing=spacing,
-            grid_nsigma=nsigma, avg_samples=avg_samples, seed=seed,
-            workers=workers, out_dir=out_dir,
-            emit_wigner_bin=bool(merged["emit_wigner_bin"]),
-            sweep_axis=axis, sweep_values=tuple(values) if values else None,
-            sweep_limit=limit, tolerances=tolerances,
-        )
+    @classmethod
+    def from_mapping(cls, raw: dict[str, Any], **overrides: Any) -> "ScenarioConfig":
+        """Build from parsed config keys; overrides that are not None win."""
+        merged = dict(raw)
+        merged.update((k, v) for k, v in overrides.items() if v is not None)
+        keys = {f.name for f in dataclasses.fields(cls)}
+        for key in merged:
+            if key not in keys:
+                raise ValidationError(f"{key}: unknown config key")
+        return cls(**merged)
 
     def resolved(self) -> dict[str, Any]:
         """Flat JSON-ready echo of every knob, defaults included."""
-
-        def pairs(arr):
-            return None if arr is None else [[z.real, z.imag] for z in arr]
-
-        out = {
-            "study": self.study,
-            "omega": self.params.omega,
-            "delta": self.params.delta,
-            "g": self.params.g,
-            "n_atoms": self.params.n_atoms,
-            "alpha": self.alpha,
-            "phi": self.phi,
-            "fock_k": self.fock_k,
-            "initial_state": self.initial_state,
-            "spin_source": self.spin_source,
-            "spin_a": pairs(self.spin_a),
-            "spin_b": pairs(self.spin_b),
-            "t_max": self.t_max,
-            "n_steps": self.n_steps,
-            "grid_spacing": self.grid_spacing,
-            "grid_nsigma": self.grid_nsigma,
-            "avg_samples": self.avg_samples,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out_dir": self.out_dir,
-            "emit_wigner_bin": self.emit_wigner_bin,
-            "sweep_axis": self.sweep_axis,
-            "sweep_values": list(self.sweep_values) if self.sweep_values else None,
-            "sweep_limit": self.sweep_limit,
-        }
-        out.update(self.tolerances)
-        return out
+        return dataclasses.asdict(self)
 
     def point(self, value: Any, out_dir: str) -> "ScenarioConfig":
         """Single sweep point: axis value substituted, sweep fields cleared."""
-        raw = self.resolved()
-        raw[self.sweep_axis] = value
-        raw["sweep_axis"] = None
-        raw["sweep_values"] = None
-        raw["out_dir"] = out_dir
-        return ScenarioConfig.from_mapping(raw)
+        return dataclasses.replace(self, **{self.sweep_axis: value},
+                                   sweep_axis=None, sweep_values=None,
+                                   out_dir=out_dir)
 
 
 @dataclass(frozen=True)
@@ -433,7 +374,8 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     # coefficients, which is where the -1/2 law is exact.
     p = config.params
     if config.spin_source == "explicit":
-        spec = ProductSpinSpec(config.spin_a, config.spin_b)
+        spec = ProductSpinSpec(_spin_vector(config.spin_a),
+                               _spin_vector(config.spin_b))
     else:
         site = random_spec(1, np.random.default_rng(config.seed))
         spec = ProductSpinSpec(np.repeat(site.a, p.n_atoms),
@@ -467,31 +409,41 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     return _StudyResult(cols, rows, summary, [], [])
 
 
-def _leading_vs_exact(config: ScenarioConfig, leading):
+def _leading_field(config: ScenarioConfig, t: float, ncut: int) -> FieldState:
+    """Closed leading-order field of the cat or the Fock superposition."""
+    if config.initial_state == "cat":
+        return evolve_cat_leading(config.params, config.alpha, config.phi, t, ncut)
+    return evolve_fock_leading(config.params, config.fock_k, t, ncut)
+
+
+def _exact_trajectory(config: ScenarioConfig, field0: FieldState):
+    """Exact evolution of field0 (x) chi stepped along the time grid: yields
+    ``(t, state, chi projection, closed leading-order field)`` per point."""
+    p = config.params
+    spec = build_hamiltonian(p, field0.ncut)
+    chi = chi_state(p.n_atoms)
+    state = JointState.from_product(field0, chi, p)
+    dt = config.t_max / config.n_steps
+    for i, t in enumerate(_time_grid(config)):
+        if i:
+            state = evolve_exact(state, dt, spec)
+        yield t, state, project_chi(state, chi), _leading_field(config, t, field0.ncut)
+
+
+def _leading_vs_exact(config: ScenarioConfig) -> _StudyResult:
     """Shared cat/fock pipeline: exact joint evolution stepped along the
     grid against the closed leading-order field, fidelity per step."""
     p = config.params
     ncut = choose_cutoff(p, config.t_max, config.alpha, config.fock_k)
-    spec = build_hamiltonian(p, ncut)
-    state = JointState.from_product(_initial_field(config, ncut),
-                                    chi_state(p.n_atoms), p)
-    chi = chi_state(p.n_atoms)
-    ts = _time_grid(config)
-    dt = config.t_max / config.n_steps
     rows = []
-    for i, t in enumerate(ts):
-        if i:
-            state = evolve_exact(state, dt, spec)
-        proj = project_chi(state, chi)
-        lead = leading(p, t, ncut)
+    for t, state, proj, lead in _exact_trajectory(config, _initial_field(config, ncut)):
         rows.append((t, fidelity(lead, proj),
                      float(np.linalg.norm(proj.amplitudes) ** 2),
                      abs(state.norm - 1.0)))
-    tol_tail = config.tolerances.get("tol_tail", 1e-8)
     flags = []
     tail = state.tail_mass()
-    if tail > tol_tail:
-        flags.append(f"fock tail mass {tail:.3e} above {tol_tail:.1e} at t_max")
+    if tail > config.tol_tail:
+        flags.append(f"fock tail mass {tail:.3e} above {config.tol_tail:.1e} at t_max")
     fids = [r[1] for r in rows]
     summary = {
         "ncut": ncut,
@@ -505,17 +457,12 @@ def _leading_vs_exact(config: ScenarioConfig, leading):
 
 
 def _study_cat(config: ScenarioConfig) -> _StudyResult:
-    def leading(p, t, ncut):
-        return evolve_cat_leading(p, config.alpha, config.phi, t, ncut)
-    return _leading_vs_exact(dataclasses.replace(config, initial_state="cat"),
-                             leading)
+    return _leading_vs_exact(dataclasses.replace(config, initial_state="cat"))
 
 
 def _study_fock(config: ScenarioConfig) -> _StudyResult:
-    def leading(p, t, ncut):
-        return evolve_fock_leading(p, config.fock_k, t, ncut)
-    cfg = dataclasses.replace(config, initial_state="fock", alpha=0.0)
-    return _leading_vs_exact(cfg, leading)
+    return _leading_vs_exact(
+        dataclasses.replace(config, initial_state="fock", alpha=0.0))
 
 
 def _study_wigner(config: ScenarioConfig) -> _StudyResult:
@@ -607,17 +554,10 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
 def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     p = config.params
     ncut = choose_cutoff(p, config.t_max, config.alpha, 0)
-    spec = build_hamiltonian(p, ncut)
     field0, _ = cat_state(config.alpha, config.phi, ncut)
-    chi = chi_state(p.n_atoms)
-    state = JointState.from_product(field0, chi, p)
-    dt = config.t_max / config.n_steps
     rows = []
-    for i, t in enumerate(_time_grid(config)):
-        if i:
-            state = evolve_exact(state, dt, spec)
-        proj = project_chi(state, chi)
-        lead = evolve_cat_leading(p, config.alpha, config.phi, t, ncut)
+    cat = dataclasses.replace(config, initial_state="cat")
+    for t, state, proj, lead in _exact_trajectory(cat, field0):
         weight = float(np.linalg.norm(proj.amplitudes) ** 2)
         residual = float(np.linalg.norm(proj.amplitudes - lead.amplitudes))
         infid = 1.0 - fidelity(lead, proj) if weight > 0 else math.nan
@@ -627,8 +567,7 @@ def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     flags = []
     if not corr.converged:
         flags.append(f"first-order quadrature not converged at t={config.t_max:.17g}")
-    lead = evolve_cat_leading(p, config.alpha, config.phi, config.t_max, ncut)
-    pred = np.outer(lead.amplitudes, chi.to_basis("X").amplitudes)
+    pred = np.outer(lead.amplitudes, chi_state(p.n_atoms).to_basis("X").amplitudes)
     r_lead = float(np.linalg.norm(state.amplitudes - pred))
     pred = pred + np.outer(corr.field_correction.amplitudes,
                            chi_prime_state(p.n_atoms).to_basis("X").amplitudes)

@@ -14,7 +14,6 @@ from thermolim.dyson import (
     oscillatory_integral,
     scaling_fit,
     second_order_correction,
-    write_corrections_csv,
 )
 from thermolim.errors import DomainError
 from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
@@ -378,29 +377,3 @@ class TestScalingFit:
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(DomainError):
             scaling_fit([(2, 1.0), (4, 0.7), (8, 0.0), (16, 0.2)])
-
-
-class TestWriteCorrectionsCsv:
-    def test_layout_and_round_trip(self, tmp_path):
-        p = params_for(2, 0.3, delta=0.05)
-        recs = [first_order_correction(p, 1.0, vacuum(20)),
-                second_order_correction(params_for(4, 0.3, delta=0.0),
-                                        1.0, vacuum(20))]
-        path = tmp_path / "corrections.csv"
-        write_corrections_csv(recs, path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.endswith(b"\n")
-        lines = raw.decode("utf-8").splitlines()
-        assert lines[0] == "order,N,t,amplitude_norm,quadrature_error"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert first[1] == "2"
-        assert float(first[2]) == 1.0
-        assert float(first[3]) == pytest.approx(recs[0].amplitude_norm, rel=0, abs=0)
-        second = lines[2].split(",")
-        assert second[0] == "2"
-        assert second[1] == "4"
-        assert float(second[3]) == 0.0
-        assert float(second[4]) == 0.0

@@ -1,16 +1,20 @@
 """Study driver: config parsing, validation, pipelines, sweeps, CLI."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermolim.cli import main as cli_main
 from thermolim.errors import ValidationError
 from thermolim.harness import (
     STUDY_NAMES,
+    SWEEP_AXES,
     ScenarioConfig,
     load_config,
     parse_config,
@@ -61,6 +65,12 @@ class TestParseConfig:
     def test_missing_equals(self):
         with pytest.raises(ValidationError, match="key = value"):
             parse_config("just words")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999",
+                                       "[1.0, Infinity]"])
+    def test_non_finite_value_named(self, token):
+        with pytest.raises(ValidationError, match="'alpha'"):
+            parse_config(f"alpha = {token}")
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -137,9 +147,78 @@ class TestValidation:
         assert cfg.seed == 9
         assert cfg.out_dir == "elsewhere"
 
+    @pytest.mark.parametrize("key", ["alpha", "phi", "t_max", "omega", "g",
+                                     "grid_nsigma", "tol_tail"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_number_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=rf"^{key}: must be finite"):
+            make_config(study="cat", **{key: value})
+
+    @pytest.mark.parametrize("value", [False, 0, "", []])
+    def test_falsy_out_dir_rejected(self, value):
+        with pytest.raises(ValidationError, match="out_dir"):
+            make_config(study="cat", out_dir=value)
+
     def test_emit_flag_must_be_boolean(self):
         with pytest.raises(ValidationError, match="emit_wigner_bin"):
             make_config(study="wigner", emit_wigner_bin="yes")
+
+
+_RESOLVED = make_config(study="cat").resolved()
+# well-typed values; sweep values may still hold NaN or +-Infinity
+_TYPED = {"study": st.sampled_from(STUDY_NAMES),
+          "sweep_axis": st.sampled_from(SWEEP_AXES),
+          "sweep_values": st.lists(st.integers(1, 8) | st.floats(), min_size=1,
+                                   max_size=3, unique_by=repr)}
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6).map(json.dumps)
+_NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999",
+                               "[1.0, -Infinity]"])
+_SWEEP_KEYS = ("sweep_axis", "sweep_values")
+_OTHER_KEYS = sorted(set(_RESOLVED) - {"study", *_SWEEP_KEYS})
+
+
+def _value_text(key):
+    typed = _TYPED.get(key, st.just(_RESOLVED[key])).map(json.dumps)
+    return st.booleans().flatmap(
+        lambda ok: typed if ok else st.one_of(_ANY_JSON, _NON_FINITE))
+
+
+def _entries(keys):
+    return st.fixed_dictionaries({k: _value_text(k) for k in keys})
+
+
+# study, maybe the sweep keys, and up to three other keys, each set half
+# the time to its default (or a well-typed choice) and otherwise to any
+# JSON value or a non-finite token
+_CONFIG_TEXT = st.tuples(
+    _entries(["study"]),
+    st.fixed_dictionaries({}, optional={k: _value_text(k) for k in _SWEEP_KEYS}),
+    st.lists(st.sampled_from(_OTHER_KEYS), unique=True, max_size=3).flatmap(_entries),
+).map(lambda parts: "\n".join(f"{k} = {v}" for part in parts
+                               for k, v in part.items()))
+
+
+def _leaves(value):
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CONFIG_TEXT)
+def test_config_text_raises_only_validation_error(text):
+    try:
+        config = ScenarioConfig.from_mapping(parse_config(text))
+    except ValidationError:
+        return
+    floats = [v for v in _leaves(list(config.resolved().values()))
+              if isinstance(v, float)]
+    assert all(math.isfinite(v) for v in floats)
+    assert dataclasses.replace(config) == config
 
 
 # ---------------------------------------------------------------- studies
@@ -231,8 +310,17 @@ class TestDysonStudy:
             t_max=math.pi, n_steps=4, out_dir=str(tmp_path)))
         assert rec.columns == ("order", "N", "t", "amplitude_norm",
                                "quadrature_error")
-        header = (tmp_path / "dyson-scaling.csv").read_text().splitlines()[0]
-        assert header == "order,N,t,amplitude_norm,quadrature_error"
+        raw = (tmp_path / "dyson-scaling.csv").read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n")
+        lines = raw.decode("utf-8").splitlines()
+        assert lines[0] == "order,N,t,amplitude_norm,quadrature_error"
+        assert len(lines) == len(rec.rows) + 1
+        for line, row in zip(lines[1:], rec.rows):
+            cells = line.split(",")
+            assert (int(cells[0]), int(cells[1])) == (row[0], row[1])
+            # every float cell round-trips exactly
+            assert [float(c) for c in cells[2:]] == list(row[2:])
         # n_steps+1 first-order rows plus one second-order row at t_max
         assert len(rec.rows) == 6
         assert rec.rows[-1][0] == 2
@@ -347,6 +435,18 @@ class TestRunSweep:
         assert len(failed) == 1
         assert "alpha" in failed[0]["error"]
         assert sum(r is not None for r in records) == 4
+
+    def test_non_finite_point_marks_partial(self, tmp_path):
+        records, aggregate = run_sweep(make_config(
+            study="cat", g=0.2, delta=0.1, n_atoms=2, alpha=1.0, n_steps=2,
+            sweep_axis="alpha", sweep_values=[1.0, math.inf],
+            out_dir=str(tmp_path)))
+        assert aggregate["partial"]
+        [failed] = [e for e in aggregate["points"] if "error" in e]
+        assert failed["value"] == math.inf
+        assert "alpha" in failed["error"]
+        assert records[0] is not None and records[1] is None
+        assert (tmp_path / "alpha_1p0" / "cat.csv").exists()
 
     def test_declared_fit_needs_enough_points(self, tmp_path):
         _, aggregate = run_sweep(make_config(
