@@ -377,3 +377,34 @@ class TestScalingFit:
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(DomainError):
             scaling_fit([(2, 1.0), (4, 0.7), (8, 0.0), (16, 0.2)])
+
+
+class TestWriteCorrectionsCsv:
+    def test_layout_and_round_trip(self, tmp_path):
+        # the harness's dyson-scaling.csv is the corrections' CSV writer
+        p = params_for(2, 0.3, delta=0.05)
+        run_scenario(ScenarioConfig.from_mapping(dict(
+            study="dyson-scaling", n_atoms=2, g=0.3, delta=0.05, t_max=1.0,
+            n_steps=1, out_dir=str(tmp_path))))
+        ncut = choose_cutoff(p, 1.0, 0.0, 0)
+        recs = [first_order_correction(p, 1.0, vacuum(ncut)),
+                second_order_correction(p, 1.0, vacuum(ncut))]
+        raw = (tmp_path / "dyson-scaling.csv").read_bytes()
+        assert b"\r" not in raw
+        assert raw.endswith(b"\n")
+        lines = raw.decode("utf-8").splitlines()
+        assert lines[0] == "order,N,t,amplitude_norm,quadrature_error"
+        # first-order rows at t = 0 and t = 1, then the second-order row
+        assert len(lines) == 4
+        for line, rec in zip(lines[2:], recs):
+            cells = line.split(",")
+            assert cells[0] == str(rec.order)
+            assert cells[1] == "2"
+            assert float(cells[2]) == 1.0
+            assert float(cells[3]) == pytest.approx(rec.amplitude_norm, rel=0, abs=0)
+            assert float(cells[4]) == pytest.approx(
+                rec.diagnostics["error_estimate"], rel=0, abs=0)
+        zero = lines[1].split(",")
+        assert zero[:2] == ["1", "2"]
+        assert float(zero[2]) == 0.0
+        assert float(zero[3]) == 0.0
