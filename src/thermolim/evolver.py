@@ -22,15 +22,14 @@ the rest of the package.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import CapacityError, CutoffError, DomainError, IntegrationError, ValidationError
-from .fock import FieldState, ModelParams
+from .errors import CapacityError, DomainError, IntegrationError, ValidationError
+from .fock import FieldState, ModelParams, overlap
 from .spins import CollectiveState, sigma_z_coupling
 
 __all__ = [
@@ -43,16 +42,12 @@ __all__ = [
     "evolve_exact",
     "project_chi",
     "fidelity",
-    "energy",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 CAPACITY_LIMIT = 2_000_000  # amplitudes; past this the dense vector is refused
 EXPM_CALLS = 3  # engine applications per expm_checked call
 _AGREEMENT_TOL = 1e-8
 _NORM_TOL = 1e-9
-_JNTS_MAGIC = b"JNTS"
 
 
 @dataclass(frozen=True)
@@ -62,7 +57,6 @@ class JointState:
 
     amplitudes: np.ndarray
     params: ModelParams
-    spin_basis: str = "X"
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
@@ -71,8 +65,6 @@ class JointState:
                 f"amplitudes shape {amps.shape} incompatible with N={self.params.n_atoms}")
         if amps.shape[0] < 2:
             raise DomainError("need at least two Fock levels")
-        if self.spin_basis != "X":
-            raise DomainError("joint states are stored in the sigma-x sector basis")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > 1e-9:
             raise DomainError(f"joint state norm {nrm!r} drifted beyond 1e-9")
@@ -109,16 +101,11 @@ class JointState:
     def sector_probabilities(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
 
-    def tail_mass(self) -> float:
-        margin = max(8, self.ncut // 10)
-        return float(np.sum(np.abs(self.amplitudes[-margin:, :]) ** 2))
-
-    def require_tail(self, tol: float = 1e-8) -> "JointState":
-        mass = self.tail_mass()
-        if mass > tol:
-            raise CutoffError(
-                f"joint Fock tail mass {mass:.3e} exceeds {tol:.1e}; raise ncut")
-        return self
+    def field_marginal(self) -> FieldState:
+        """Field amplitudes with the norm taken over sectors: row n holds
+        sqrt(sum_q |c_nq|^2), so the Fock tail checks of
+        :class:`FieldState` apply to the joint state."""
+        return FieldState(np.linalg.norm(self.amplitudes, axis=1), normalized=False)
 
 
 @dataclass(frozen=True)
@@ -138,14 +125,13 @@ def sector_hamiltonian(params: ModelParams, m: int, ncut: int) -> sp.csr_matrix:
     return sp.diags([ladder, params.omega * n, ladder], [-1, 0, 1], format="csr")
 
 
-def build_hamiltonian(params: ModelParams, ncut: int,
-                      max_amplitudes: int = CAPACITY_LIMIT) -> HamiltonianSpec:
+def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
     if ncut < 4:
         raise DomainError(f"need ncut >= 4, got {ncut}")
     dimf, dims = ncut + 1, params.n_atoms + 1
-    if dimf * dims > max_amplitudes:
+    if dimf * dims > CAPACITY_LIMIT:
         raise CapacityError(
-            f"state dimension {dimf * dims} exceeds limit {max_amplitudes}")
+            f"state dimension {dimf * dims} exceeds limit {CAPACITY_LIMIT}")
     sectors = sp.block_diag([sector_hamiltonian(params, params.n_atoms - 2 * q, ncut)
                              for q in range(dims)], format="csr")
     w = sigma_z_coupling(params.n_atoms)
@@ -193,7 +179,8 @@ def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointSta
 
     One whole step and two half steps of :func:`expm_checked` must agree
     to 1e-8 and keep the norm to 1e-9, else an :class:`IntegrationError`
-    carries the diagnostics; the result must pass the Fock tail check."""
+    carries the diagnostics; the field marginal of the result must pass
+    the Fock tail check of :meth:`FieldState.require_tail`."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     if spec.ncut != state.ncut or spec.params != state.params:
@@ -206,7 +193,9 @@ def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointSta
         raise IntegrationError(
             f"whole step and two half steps differ by {err:.3e}, above 1e-8",
             diagnostics={"error_estimate": err})
-    return JointState.from_vector(out, state.params).require_tail()
+    out = JointState.from_vector(out, state.params)
+    out.field_marginal().require_tail()
+    return out
 
 
 def project_chi(state: JointState, target: CollectiveState) -> FieldState:
@@ -222,42 +211,7 @@ def project_chi(state: JointState, target: CollectiveState) -> FieldState:
 
 def fidelity(a: FieldState, b: FieldState) -> float:
     """|<a|b>|^2 normalized on both sides; global-phase invariant."""
-    na, nb = np.linalg.norm(a.amplitudes), np.linalg.norm(b.amplitudes)
+    na, nb = a.norm, b.norm
     if na == 0 or nb == 0:
         raise DomainError("fidelity of a zero-norm state is undefined")
-    ncut = max(a.ncut, b.ncut)
-    va = np.zeros(ncut + 1, complex)
-    vb = np.zeros(ncut + 1, complex)
-    va[: a.ncut + 1] = a.amplitudes
-    vb[: b.ncut + 1] = b.amplitudes
-    return min(float(abs(np.vdot(va, vb)) ** 2 / (na * nb) ** 2), 1.0)
-
-
-def energy(state: JointState, spec: HamiltonianSpec) -> float:
-    v = state.vector()
-    return float(np.real(np.vdot(v, spec.matrix @ v)))
-
-
-def save_checkpoint(state: JointState, t: float, path) -> None:
-    """Binary checkpoint: magic "JNTS", dimensions, time, model
-    parameters, then the sector-major complex amplitude block."""
-    p = state.params
-    header = _JNTS_MAGIC + struct.pack(
-        "<IIdddd", state.ncut, p.n_atoms, t, p.omega, p.delta, p.g)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(state.vector().astype("<c16").tobytes())
-
-
-def load_checkpoint(path) -> tuple[JointState, float]:
-    with open(path, "rb") as fh:
-        header = fh.read(44)
-        if len(header) != 44 or header[:4] != _JNTS_MAGIC:
-            raise ValidationError(f"{path}: not a JNTS checkpoint")
-        ncut, n_atoms, t, omega, delta, g = struct.unpack("<IIdddd", header[4:])
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    dim = (ncut + 1) * (n_atoms + 1)
-    if data.size != dim:
-        raise ValidationError(f"{path}: truncated checkpoint payload")
-    params = ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
-    return JointState.from_vector(data.copy(), params), t
+    return min(abs(overlap(a, b)) ** 2 / (na * nb) ** 2, 1.0)

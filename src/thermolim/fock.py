@@ -64,18 +64,10 @@ class ModelParams:
         object.__setattr__(self, "n_atoms", int(self.n_atoms))
 
     @property
-    def g_over_omega(self) -> float:
-        return self.g / self.omega
-
-    @property
-    def delta_over_omega(self) -> float:
-        return self.delta / self.omega
-
-    @property
     def perturbation_ratio(self) -> float:
         """delta / (g * N): diagnostic for how small the splitting is
-        relative to the collective coupling.  Attached to run metadata;
-        no hard bound is enforced."""
+        relative to the collective coupling.  No run record carries it
+        and no bound is enforced."""
         if self.g == 0:
             return math.inf
         return self.delta / (self.g * self.n_atoms)

@@ -252,6 +252,9 @@ class ScenarioConfig:
                      f"must be one of {list(SWEEP_AXES)}, got {axis!r}")
             _require(isinstance(values, (list, tuple)) and len(values) > 0,
                      "sweep_values", "must be a nonempty list when sweep_axis is set")
+            _require(all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in values),
+                     "sweep_values", f"must be numbers, got {list(values)!r}")
             _require(len(values) <= limit, "sweep_values",
                      f"{len(values)} points exceed sweep_limit = {limit}")
             _require(len(set(map(repr, values))) == len(values),
@@ -441,7 +444,7 @@ def _leading_vs_exact(config: ScenarioConfig) -> _StudyResult:
                      float(np.linalg.norm(proj.amplitudes) ** 2),
                      abs(state.norm - 1.0)))
     flags = []
-    tail = state.tail_mass()
+    tail = state.field_marginal().tail_mass()
     if tail > config.tol_tail:
         flags.append(f"fock tail mass {tail:.3e} above {config.tol_tail:.1e} at t_max")
     fids = [r[1] for r in rows]

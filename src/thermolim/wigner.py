@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -278,7 +278,9 @@ class TimeAverageReport:
     converged: bool
 
 
-def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> np.ndarray:
+def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> tuple[np.ndarray, Any]:
+    """Midpoint mean of n samples, and the last sample, whose geometry a
+    grid result takes."""
     # midpoint sampling: exact for full periods of trig signals; pairwise
     # reduction keeps the result independent of any chunking
     h = (t1 - t0) / n
@@ -296,7 +298,7 @@ def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> np.ndarray:
     total = stack[0][1]
     for _, part, _ in stack[1:]:
         total = part + total
-    return total / n
+    return total / n, v
 
 
 def time_average(
@@ -317,18 +319,15 @@ def time_average(
         raise DomainError(f"need t1 > t0, got {window}")
     if n_samples < 64:
         raise DomainError(f"need n_samples >= 64, got {n_samples}")
-    probe = evaluator(t0 + 0.5 * (t1 - t0) / n_samples)
-    grid_template = probe if isinstance(probe, WignerGrid) else None
-
     n = n_samples
-    current = _mean_of_samples(evaluator, t0, t1, n)
+    current, sample = _mean_of_samples(evaluator, t0, t1, n)
     doublings = 0
     max_change = math.inf
     converged = False
     while doublings < 4:
         n *= 2
         doublings += 1
-        refined = _mean_of_samples(evaluator, t0, t1, n)
+        refined, sample = _mean_of_samples(evaluator, t0, t1, n)
         max_change = float(np.max(np.abs(refined - current)))
         current = refined
         if max_change < 1e-4:
@@ -336,8 +335,8 @@ def time_average(
             break
     report = TimeAverageReport(n_samples=n, doublings=doublings,
                                max_change=max_change, converged=converged)
-    if grid_template is not None:
-        return grid_template.with_values(current), report
+    if isinstance(sample, WignerGrid):
+        return sample.with_values(current), report
     return current, report
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     phase_kicked_expm_multiply,
@@ -17,6 +19,7 @@ from conftest import (
 from thermolim import evolver
 from thermolim.errors import (
     CapacityError,
+    CutoffError,
     DomainError,
     IntegrationError,
     ValidationError,
@@ -24,12 +27,9 @@ from thermolim.errors import (
 from thermolim.evolver import (
     JointState,
     build_hamiltonian,
-    energy,
     evolve_exact,
     fidelity,
-    load_checkpoint,
     project_chi,
-    save_checkpoint,
 )
 from thermolim.fock import FieldState, ModelParams, cat_state, choose_cutoff, coherent_state
 from thermolim.propagator import evolve_cat_leading
@@ -43,6 +43,11 @@ def params_for(n_atoms, g, omega=1.0, delta=0.0):
 def cat_chi_initial(params, alpha, phi, ncut):
     psi, _ = cat_state(alpha, phi, ncut)
     return JointState.from_product(psi, chi_state(params.n_atoms), params)
+
+
+def energy(state, spec):
+    v = state.vector()
+    return float(np.real(np.vdot(v, spec.matrix @ v)))
 
 
 # ------------------------------------------------------------- hamiltonian
@@ -111,6 +116,15 @@ class TestJointState:
         assert vec[1 * 6 + 2] == 1.0
         back = JointState.from_vector(vec, p)
         np.testing.assert_array_equal(back.amplitudes, amps)
+
+    def test_tail_band_matches_field_state(self):
+        # at ncut 181 the band is n > 181 - 18.1, so row 163 is in it
+        p = params_for(2, 0.1)
+        amps = np.zeros((182, 3), complex)
+        amps[0, 0] = math.sqrt(1 - 1e-6)
+        amps[163, 2] = 1e-3
+        st = JointState(amps, p)
+        assert st.field_marginal().tail_mass() == pytest.approx(1e-6, rel=1e-12)
 
 
 # --------------------------------------------------------------- evolution
@@ -216,6 +230,32 @@ class TestEvolveExact:
                 evolve_exact(st, 6.0, spec)
             assert err.value.diagnostics[key] > tol
 
+    def test_state_driven_past_cutoff_raises(self):
+        # at t = pi sector 0 is displaced by 2 N g / omega = 3.2, to about
+        # 18 photons: the top of a 20-level ladder
+        p = params_for(4, 0.4)
+        spec = build_hamiltonian(p, 20)
+        st = JointState.from_product(coherent_state(1.0, 20), chi_state(4), p)
+        with pytest.raises(CutoffError, match="tail mass"):
+            evolve_exact(st, math.pi, spec)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 4), omega=st.floats(1.0, 2.0),
+           delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),
+           alpha=st.complex_numbers(max_magnitude=1.0),
+           spin=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=5, max_size=5),
+           t=st.floats(0.0, 5.0))
+    def test_norm_conserved_on_random_models(self, n_atoms, omega, delta, g,
+                                             alpha, spin, t):
+        p = ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+        ncut = choose_cutoff(p, t, abs(alpha), 0)
+        assert ncut <= 40
+        amps = np.array(spin[: n_atoms + 1]) + 2 * np.eye(n_atoms + 1)[0]
+        spin_state = CollectiveState(amps / np.linalg.norm(amps), "X")
+        st0 = JointState.from_product(coherent_state(alpha, ncut), spin_state, p)
+        out = evolve_exact(st0, t, build_hamiltonian(p, ncut))
+        assert abs(out.norm - 1.0) <= 1e-9
+
     def test_negative_time_rejected(self):
         p = params_for(2, 0.2)
         spec = build_hamiltonian(p, 20)
@@ -297,32 +337,3 @@ class TestFidelity:
         a = coherent_state(1.0, 25)
         b = coherent_state(1.0, 45)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-9)
-
-
-# -------------------------------------------------------------- checkpoint
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        p = ModelParams(omega=1.1, delta=0.3, g=0.21, n_atoms=3)
-        st = cat_chi_initial(p, 1.2, 0.6, 24)
-        path = tmp_path / "state.jnts"
-        save_checkpoint(st, 2.25, path)
-        back, t = load_checkpoint(path)
-        assert t == 2.25
-        assert back.params == p
-        np.testing.assert_array_equal(back.amplitudes, st.amplitudes)
-
-    def test_magic_guard(self, tmp_path):
-        path = tmp_path / "bad.jnts"
-        path.write_bytes(b"XXXX" + b"\x00" * 60)
-        with pytest.raises(ValidationError):
-            load_checkpoint(path)
-
-    def test_truncation_guard(self, tmp_path):
-        p = params_for(2, 0.2)
-        st = cat_chi_initial(p, 1.0, 0.5, 20)
-        path = tmp_path / "state.jnts"
-        save_checkpoint(st, 1.0, path)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValidationError):
-            load_checkpoint(path)

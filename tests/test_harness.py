@@ -118,6 +118,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="distinct"):
             make_config(study="cat", sweep_axis="n_atoms", sweep_values=[2, 2])
 
+    @pytest.mark.parametrize("axis, values", [("alpha", [1.0, "x"]),
+                                              ("n_atoms", [2, [3]]),
+                                              ("delta", [0.1, True])])
+    def test_non_numeric_sweep_values_rejected(self, axis, values):
+        with pytest.raises(ValidationError, match="^sweep_values: must be numbers"):
+            make_config(study="spin-classical", sweep_axis=axis, sweep_values=values)
+
     def test_sweep_limit_enforced(self):
         with pytest.raises(ValidationError, match="sweep_limit"):
             make_config(study="cat", sweep_axis="n_atoms",
@@ -505,6 +512,16 @@ class TestCli:
         line = next(l for l in result.output.splitlines()
                     if l.startswith("exponent_fluctuation:"))
         assert float(line.split(":")[1]) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_non_numeric_sweep_value_is_a_message(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text('study = "spin-classical"\nsweep_axis = "alpha"\n'
+                       'sweep_values = [1.0, "x"]\n', encoding="utf-8")
+        result = CliRunner().invoke(
+            cli_main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: sweep_values: must be numbers" in result.output
 
     def test_sweep_partial_exits_nonzero(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -3,9 +3,13 @@ time averaging, visibility, serialization."""
 
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import displacement_expm
 from thermolim.errors import CutoffError, DomainError, ValidationError
@@ -473,3 +477,28 @@ class TestSerialization:
             for j, p in enumerate(w.p_axis):
                 expected.append(f"{x:.17g},{p:.17g},{w.values[i, j]:.17g}\n")
         assert path.read_bytes() == "".join(expected).encode("utf-8")
+
+
+@st.composite
+def _grids(draw):
+    nx, npts = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    x_min, p_min = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+    x_max = x_min + (nx - 1) * draw(st.floats(1e-3, 0.25))
+    p_max = p_min + (npts - 1) * draw(st.floats(1e-3, 0.25))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=nx * npts, max_size=nx * npts))
+    return WignerGrid(x_min, x_max, p_min, p_max, nx, npts,
+                      np.reshape(values, (nx, npts)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_artifacts_round_trip_random_grids_exactly(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        for save, load, name in [(save_wgrd, load_wgrd, "w.wgrd"),
+                                 (save_csv, load_csv, "w.csv")]:
+            path = Path(tmp) / name
+            save(grid, path)
+            back = load(path)
+            assert back.same_geometry(grid)
+            assert back.values.tobytes() == grid.values.tobytes()
