@@ -28,7 +28,6 @@ from .fock import (
     choose_cutoff,
     coherent_state,
     displaced_number_state,
-    displacement_element,
     displacement_matrix,
     overlap,
 )
@@ -36,7 +35,6 @@ from .spins import (
     CollectiveState,
     Moments,
     ProductSpinSpec,
-    basis_transform,
     chi_prime_state,
     chi_state,
     ehrenfest_residual,

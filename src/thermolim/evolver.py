@@ -95,8 +95,7 @@ class JointState:
                      params: ModelParams) -> "JointState":
         if spin.n_atoms != params.n_atoms:
             raise DomainError("spin state size does not match params")
-        sx = spin.to_basis("X")
-        return cls(np.outer(field.amplitudes, sx.amplitudes), params)
+        return cls(np.outer(field.amplitudes, spin.amplitudes), params)
 
     def sector_probabilities(self) -> np.ndarray:
         return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
@@ -204,8 +203,7 @@ def project_chi(state: JointState, target: CollectiveState) -> FieldState:
     occupation probability of that sector."""
     if target.n_atoms != state.params.n_atoms:
         raise DomainError("target spin size does not match the joint state")
-    tx = target.to_basis("X")
-    field = state.amplitudes @ np.conjugate(tx.amplitudes)
+    field = state.amplitudes @ np.conjugate(target.amplitudes)
     return FieldState(field, normalized=False)
 
 

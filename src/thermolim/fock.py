@@ -25,7 +25,6 @@ __all__ = [
     "FieldState",
     "ModelParams",
     "assoc_laguerre",
-    "displacement_element",
     "displacement_matrix",
     "coherent_state",
     "displaced_number_state",
@@ -62,15 +61,6 @@ class ModelParams:
         if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
             raise DomainError(f"n_atoms must be an integer >= 1, got {self.n_atoms}")
         object.__setattr__(self, "n_atoms", int(self.n_atoms))
-
-    @property
-    def perturbation_ratio(self) -> float:
-        """delta / (g * N): diagnostic for how small the splitting is
-        relative to the collective coupling.  No run record carries it
-        and no bound is enforced."""
-        if self.g == 0:
-            return math.inf
-        return self.delta / (self.g * self.n_atoms)
 
 
 @dataclass(frozen=True)
@@ -183,28 +173,6 @@ def _scaled_diagonal(d: int, x, jmax: int) -> np.ndarray:
     return out
 
 
-def displacement_element(n: int, k: int, alpha: complex) -> complex:
-    """Matrix element <n|D[alpha]|k> of the displacement operator.
-
-    Uses the associated-Laguerre closed form on either side of the
-    diagonal, with the factorial ratio and the Gaussian factor fused
-    into a magnitude-bounded recurrence; |result| <= 1 always.
-    """
-    if n < 0 or k < 0 or n != int(n) or k != int(k):
-        raise DomainError(f"need integer n, k >= 0, got {(n, k)}")
-    n, k = int(n), int(k)
-    alpha = complex(alpha)
-    if alpha == 0:
-        return 1.0 + 0.0j if n == k else 0.0 + 0.0j
-    d = abs(n - k)
-    x = abs(alpha) ** 2
-    mag = float(_scaled_diagonal(d, x, min(n, k))[min(n, k)])
-    phase = np.exp(1j * d * np.angle(alpha))
-    if n >= k:
-        return complex(mag * phase)
-    return complex(mag * (-1) ** d * np.conj(phase))
-
-
 def displacement_matrix(ncut: int, alpha: complex) -> np.ndarray:
     """Dense (ncut+1) x (ncut+1) matrix of <n|D[alpha]|k>.
 
@@ -302,18 +270,14 @@ def cat_norm_closed(alpha: float, phi: float) -> float:
     return math.sqrt(n2)
 
 
-def choose_cutoff(params: ModelParams, t_max: float, alpha: float, k: int) -> int:
+def choose_cutoff(params: ModelParams, alpha: float, k: int) -> int:
     """Fock cutoff sufficient for every state the sector propagator
     produces from a cat (branch radius ``alpha``) or a number state
-    ``k`` over the window [0, t_max].
+    ``k``, at any time.
 
-    The displacement excursion is bounded by 2 N g / omega for all t,
-    so the bound does not actually depend on ``t_max``; the argument is
-    kept for call-site clarity.  Floor value 16 for the trivial vacuum
-    case.
+    The displacement excursion is bounded by 2 N g / omega for all t.
+    Floor value 16 for the trivial vacuum case.
     """
-    if t_max < 0:
-        raise DomainError(f"need t_max >= 0, got {t_max}")
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
     if k < 0 or k != int(k):

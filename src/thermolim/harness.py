@@ -437,7 +437,7 @@ def _leading_vs_exact(config: ScenarioConfig) -> _StudyResult:
     """Shared cat/fock pipeline: exact joint evolution stepped along the
     grid against the closed leading-order field, fidelity per step."""
     p = config.params
-    ncut = choose_cutoff(p, config.t_max, config.alpha, config.fock_k)
+    ncut = choose_cutoff(p, config.alpha, config.fock_k)
     rows = []
     for t, state, proj, lead in _exact_trajectory(config, _initial_field(config, ncut)):
         rows.append((t, fidelity(lead, proj),
@@ -495,7 +495,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
         flags.append(f"time average not converged: change {report.max_change:.3e} "
                      f"after {report.doublings} doublings")
 
-    ncut = choose_cutoff(p, config.t_max, a, 0)
+    ncut = choose_cutoff(p, a, 0)
     cat0, norm0 = cat_state(a, ph, ncut)
     w_full = wigner_numeric(cat0, grid)
     X, P = grid.meshgrid()
@@ -523,8 +523,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
 
 def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    ncut = choose_cutoff(p, config.t_max,
-                         config.alpha if config.initial_state == "cat" else 0.0,
+    ncut = choose_cutoff(p, config.alpha if config.initial_state == "cat" else 0.0,
                          config.fock_k if config.initial_state == "fock" else 0)
     initial = _initial_field(config, ncut)
     flags = []
@@ -556,7 +555,7 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
 
 def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    ncut = choose_cutoff(p, config.t_max, config.alpha, 0)
+    ncut = choose_cutoff(p, config.alpha, 0)
     field0, _ = cat_state(config.alpha, config.phi, ncut)
     rows = []
     cat = dataclasses.replace(config, initial_state="cat")
@@ -570,10 +569,10 @@ def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     flags = []
     if not corr.converged:
         flags.append(f"first-order quadrature not converged at t={config.t_max:.17g}")
-    pred = np.outer(lead.amplitudes, chi_state(p.n_atoms).to_basis("X").amplitudes)
+    pred = np.outer(lead.amplitudes, chi_state(p.n_atoms).amplitudes)
     r_lead = float(np.linalg.norm(state.amplitudes - pred))
     pred = pred + np.outer(corr.field_correction.amplitudes,
-                           chi_prime_state(p.n_atoms).to_basis("X").amplitudes)
+                           chi_prime_state(p.n_atoms).amplitudes)
     r_corr = float(np.linalg.norm(state.amplitudes - pred))
     last = rows[-1]
     summary = {

@@ -48,22 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnalyticFrame:
-    """The time-t closed-form quantities for the extremal sector plus
-    the cat parameters they were computed for.
+    """The time-t closed-form quantities for the extremal sector.
 
     phi1/phi2 are the branch phases picked up when the displacement
-    lands on each coherent branch.
+    lands on each coherent branch of the cat.
     """
 
-    t: float
     xi: float
     beta: complex
     beta_prime: complex
     phi1: float
     phi2: float
-    params: ModelParams
-    alpha: float
-    phi: float
 
 
 def sector_frame(m: int, params: ModelParams, t: float) -> tuple[float, complex]:
@@ -99,10 +94,7 @@ def frame(params: ModelParams, alpha: float, phi: float, t: float) -> AnalyticFr
     alt2 = (-1j * alpha * (beta * cmath.exp(1j * phi) - beta.conjugate() * cmath.exp(-1j * phi)) / 2)
     if abs(alt1.real - phi1) > 1e-10 or abs(alt2.real - phi2) > 1e-10:
         raise DomainError("branch-phase conventions disagree beyond 1e-10")
-    return AnalyticFrame(
-        t=t, xi=xi, beta=beta, beta_prime=beta_prime,
-        phi1=phi1, phi2=phi2, params=params, alpha=alpha, phi=phi,
-    )
+    return AnalyticFrame(xi=xi, beta=beta, beta_prime=beta_prime, phi1=phi1, phi2=phi2)
 
 
 def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) -> FieldState:

@@ -6,8 +6,7 @@ order-unity numbers built from the per-site amplitudes.  This module
 implements those closed forms, an exact 2^N brute-force referee,
 Ehrenfest residuals, and the (N+1)-dimensional symmetric (Dicke) sector
 used by the strong-coupling machinery: the extremal sigma-x product
-state, its one-flip partner, and the orthogonal transform between the
-collective X and Z eigenbases.
+state and its one-flip partner.
 
 Site convention: a_i multiplies the sigma-z eigenstate with eigenvalue
 -1, b_i the one with +1.  The sign conventions here are fixed by the
@@ -16,7 +15,6 @@ brute-force referee, which the tests hold to 1e-10.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -35,7 +33,6 @@ __all__ = [
     "ehrenfest_residual",
     "chi_state",
     "chi_prime_state",
-    "basis_transform",
     "sigma_x_eigenvalues",
     "sigma_z_coupling",
 ]
@@ -212,21 +209,15 @@ def ehrenfest_residual(
 
 @dataclass(frozen=True)
 class CollectiveState:
-    """Amplitudes over the N+1 symmetric-sector basis states.
-
-    ``basis`` is "X" or "Z"; index m carries collective eigenvalue
-    N - 2m of the tagged operator.
-    """
+    """Amplitudes over the N+1 collective sigma-x eigenstates of the
+    symmetric sector; index q carries eigenvalue N - 2q."""
 
     amplitudes: np.ndarray
-    basis: str
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise DomainError("amplitudes must cover at least N=1 (two entries)")
-        if self.basis not in ("X", "Z"):
-            raise DomainError(f"basis must be 'X' or 'Z', got {self.basis!r}")
         if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
             raise DomainError("collective state must have unit norm within 1e-10")
         amps.setflags(write=False)
@@ -236,34 +227,6 @@ class CollectiveState:
     def n_atoms(self) -> int:
         return self.amplitudes.size - 1
 
-    def to_basis(self, basis: str) -> "CollectiveState":
-        if basis == self.basis:
-            return self
-        T = basis_transform(self.n_atoms)
-        return CollectiveState(T @ self.amplitudes, basis)
-
-
-@lru_cache(maxsize=32)
-def basis_transform(n_atoms: int) -> np.ndarray:
-    """Orthogonal X<->Z change of basis on the symmetric sector.
-
-    Entries are binomial-weighted Krawtchouk values; the matrix is
-    symmetric and involutive, so the same array converts both ways.
-    """
-    N = n_atoms
-    T = np.zeros((N + 1, N + 1))
-    logc = [math.lgamma(N + 1) - math.lgamma(q + 1) - math.lgamma(N - q + 1)
-            for q in range(N + 1)]
-    for r in range(N + 1):
-        for q in range(N + 1):
-            kr = sum(
-                (-1) ** i * math.comb(q, i) * math.comb(N - q, r - i)
-                for i in range(0, min(q, r) + 1)
-            )
-            T[r, q] = 2 ** (-N / 2) * math.exp(0.5 * (logc[q] - logc[r])) * kr
-    T.setflags(write=False)
-    return T
-
 
 def chi_state(n_atoms: int) -> CollectiveState:
     """Extremal collective state: every site in the +1 sigma-x
@@ -272,7 +235,7 @@ def chi_state(n_atoms: int) -> CollectiveState:
         raise DomainError("need n_atoms >= 1")
     amps = np.zeros(n_atoms + 1, np.complex128)
     amps[0] = 1.0
-    return CollectiveState(amps, "X")
+    return CollectiveState(amps)
 
 
 def chi_prime_state(n_atoms: int) -> CollectiveState:
@@ -282,11 +245,11 @@ def chi_prime_state(n_atoms: int) -> CollectiveState:
         raise DomainError("need n_atoms >= 1")
     amps = np.zeros(n_atoms + 1, np.complex128)
     amps[1] = 1.0
-    return CollectiveState(amps, "X")
+    return CollectiveState(amps)
 
 
 def sigma_x_eigenvalues(n_atoms: int) -> np.ndarray:
-    """Collective sigma-x eigenvalues N - 2q down the X-basis index."""
+    """Collective sigma-x eigenvalues N - 2q down the sector index q."""
     return (n_atoms - 2 * np.arange(n_atoms + 1)).astype(np.float64)
 
 

@@ -58,7 +58,7 @@ def test_zero_detuning_closed_form_is_exact():
     for n in [2, 4, 8]:
         for g in [0.1, 0.25]:
             p = ModelParams(omega=1.0, delta=0.0, g=g, n_atoms=n)
-            ncut = choose_cutoff(p, 2 * math.pi, 2.0, 0)
+            ncut = choose_cutoff(p, 2.0, 0)
             spec = build_hamiltonian(p, ncut)
             chi = chi_state(n)
             for alpha in [1.0, 2.0]:
@@ -139,7 +139,7 @@ def test_spin_moments_and_fluctuation_scaling():
 def test_cat_wigner_decomposition_matches_closed_fringe():
     p = ModelParams(omega=1.0, delta=0.0, g=0.25, n_atoms=4)
     alpha, phi = 2.0, math.pi / 2
-    ncut = choose_cutoff(p, math.pi / 2, alpha, 0)
+    ncut = choose_cutoff(p, alpha, 0)
     norm2 = cat_norm_closed(alpha, phi) ** 2
     worst = 0.0
     for t in [0.0, math.pi / 2]:
@@ -211,7 +211,7 @@ def test_detuning_transfer_scaling_with_atom_number():
     first_n2 = None
     for n in sizes:
         p = ModelParams(omega=1.0, delta=0.02, g=0.3, n_atoms=n)
-        ncut = choose_cutoff(p, math.pi, 0.0, 0)
+        ncut = choose_cutoff(p, 0.0, 0)
         spec = build_hamiltonian(p, ncut)
         state = JointState.from_product(vacuum(ncut), chi_state(n), p)
         out = evolve_exact(state, math.pi, spec)
@@ -240,7 +240,7 @@ def test_leading_order_error_scales_quadratically():
     gains = []
     for delta in deltas:
         p = ModelParams(omega=1.0, delta=delta, g=0.25, n_atoms=4)
-        ncut = choose_cutoff(p, math.pi, alpha, 0)
+        ncut = choose_cutoff(p, alpha, 0)
         spec = build_hamiltonian(p, ncut)
         field0, _ = cat_state(alpha, phi, ncut)
         chi = chi_state(4)
@@ -250,10 +250,10 @@ def test_leading_order_error_scales_quadratically():
 
         lead = evolve_cat_leading(p, alpha, phi, math.pi, ncut)
         corr = first_order_correction(p, math.pi, field0)
-        pred = np.outer(lead.amplitudes, chi.to_basis("X").amplitudes)
+        pred = np.outer(lead.amplitudes, chi.amplitudes)
         r_lead = np.linalg.norm(out.amplitudes - pred)
         pred = pred + np.outer(corr.field_correction.amplitudes,
-                               chi_prime_state(4).to_basis("X").amplitudes)
+                               chi_prime_state(4).amplitudes)
         r_corr = np.linalg.norm(out.amplitudes - pred)
         gains.append(float(r_lead / r_corr))
 

@@ -119,7 +119,7 @@ class TestFirstOrderCorrection:
         # N = 2 closes the outer sector propagator down to a bare rotation,
         # so the whole correction has a two-line independent form.
         p = params_for(2, 0.3, delta=0.02)
-        ncut = choose_cutoff(p, 10.0, 0.0, 0)
+        ncut = choose_cutoff(p, 0.0, 0)
         t = math.pi
         ts = np.linspace(0.0, t, 4001)
         rows = np.empty((ts.size, ncut + 1), dtype=complex)
@@ -167,7 +167,7 @@ class TestFirstOrderCorrection:
         # Small-detuning check against the full evolver: the predicted
         # orthogonal-sector amplitude agrees to well under a percent.
         p = params_for(2, 0.3, delta=0.02)
-        ncut = choose_cutoff(p, 10.0, 0.0, 0)
+        ncut = choose_cutoff(p, 0.0, 0)
         t = math.pi
         spec = build_hamiltonian(p, ncut)
         joint = JointState.from_product(vacuum(ncut), chi_state(2), p)
@@ -263,7 +263,7 @@ class TestSecondOrderCorrection:
                     8: 1.116073e-3, 16: 1.357319e-3}
         for n, val in expected.items():
             p = params_for(n, 0.3, delta=0.02)
-            ncut = choose_cutoff(p, 10.0, 0.0, 0)
+            ncut = choose_cutoff(p, 0.0, 0)
             rec = second_order_correction(p, math.pi, vacuum(ncut))
             assert rec.converged
             assert rec.amplitude_norm == pytest.approx(val, rel=1e-4)
@@ -275,7 +275,7 @@ class TestSecondOrderCorrection:
         ratios = []
         for n in [2, 4, 8, 16]:
             p = params_for(n, 0.3, delta=0.02)
-            ncut = choose_cutoff(p, 10.0, 0.0, 0)
+            ncut = choose_cutoff(p, 0.0, 0)
             r1 = first_order_correction(p, math.pi, vacuum(ncut))
             r2 = second_order_correction(p, math.pi, vacuum(ncut))
             ratios.append(r2.amplitude_norm / r1.amplitude_norm)
@@ -294,7 +294,7 @@ class TestCorrectionChecks:
         # cutoff-converged reference by 2e-8 (first order) and 9e-8
         # (second order).
         p = params_for(16, 0.3, delta=0.02)
-        ncut = choose_cutoff(p, 10.0, 0.0, 0)
+        ncut = choose_cutoff(p, 0.0, 0)
         for correction in (first_order_correction, second_order_correction):
             rec = correction(p, math.pi, vacuum(ncut))
             ref = correction(p, math.pi, vacuum(ncut + 200))
@@ -329,7 +329,7 @@ class TestPerturbativeConsistency:
         chi_resid = {}
         for delta in [0.025, 0.05]:
             p = params_for(2, 0.3, delta=delta)
-            ncut = choose_cutoff(p, 10.0, 0.0, 0)
+            ncut = choose_cutoff(p, 0.0, 0)
             spec = build_hamiltonian(p, ncut)
             joint = JointState.from_product(vacuum(ncut), chi_state(2), p)
             out = evolve_exact(joint, math.pi, spec)
@@ -386,7 +386,7 @@ class TestWriteCorrectionsCsv:
         run_scenario(ScenarioConfig.from_mapping(dict(
             study="dyson-scaling", n_atoms=2, g=0.3, delta=0.05, t_max=1.0,
             n_steps=1, out_dir=str(tmp_path))))
-        ncut = choose_cutoff(p, 1.0, 0.0, 0)
+        ncut = choose_cutoff(p, 0.0, 0)
         recs = [first_order_correction(p, 1.0, vacuum(ncut)),
                 second_order_correction(p, 1.0, vacuum(ncut))]
         raw = (tmp_path / "dyson-scaling.csv").read_bytes()

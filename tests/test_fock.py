@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import displacement_expm, displacement_series_mp, laguerre_series
 from thermolim.errors import CutoffError, DomainError
@@ -17,7 +19,6 @@ from thermolim.fock import (
     choose_cutoff,
     coherent_state,
     displaced_number_state,
-    displacement_element,
     displacement_matrix,
     overlap,
 )
@@ -89,6 +90,11 @@ def test_laguerre_large_argument_ratio():
 
 # ------------------------------------------------------------ displacement
 
+def displacement_element(n, k, alpha):
+    """<n|D[alpha]|k>, read off the smallest matrix that holds it."""
+    return complex(displacement_matrix(max(n, k), alpha)[n, k])
+
+
 def test_displacement_vacuum_element():
     got = displacement_element(0, 0, 1.2)
     assert got == pytest.approx(math.exp(-0.72), rel=1e-12)
@@ -132,6 +138,15 @@ def test_displacement_unitarity_columns(alpha):
     np.testing.assert_allclose(mass, 1.0, atol=1e-8)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(alpha=st.complex_numbers(max_magnitude=3.0))
+def test_displacement_matrix_unitary_away_from_cutoff(alpha):
+    block = displacement_matrix(59, alpha)[:12, :12]
+    np.testing.assert_allclose(block, displacement_expm(60, alpha)[:12, :12], rtol=0, atol=5e-13)
+    mass = np.sum(np.abs(displacement_matrix(130, alpha)[:, :21]) ** 2, axis=0)
+    np.testing.assert_allclose(mass, 1.0, rtol=0, atol=1e-8)
+
+
 def test_displacement_conjugation_relation():
     rng = np.random.default_rng(11)
     for _ in range(40):
@@ -152,7 +167,7 @@ def test_displacement_magnitude_bounded():
 
 def test_displacement_huge_argument_is_finite():
     # bounded recurrence: no overflow even at |alpha|^2 ~ 1300
-    val = displacement_element(400, 395, 36.0)
+    val = displacement_matrix(400, 36.0)[400, 395]
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) <= 1.0 + 1e-12
 
@@ -166,7 +181,7 @@ def test_coherent_vacuum():
 
 
 def test_coherent_mean_photon_number():
-    st = coherent_state(2.0, choose_cutoff(ModelParams(1, 0, 0, 1), 0.0, 2.0, 0))
+    st = coherent_state(2.0, choose_cutoff(ModelParams(1, 0, 0, 1), 2.0, 0))
     n = np.arange(st.ncut + 1)
     mean = float(np.sum(n * np.abs(st.amplitudes) ** 2))
     assert mean == pytest.approx(4.0, abs=1e-8)
@@ -217,7 +232,7 @@ def test_cat_phi_zero_collapses_to_coherent():
 
 
 def test_cat_orthogonal_branches():
-    _, norm = cat_state(4.0, math.pi / 2, choose_cutoff(ModelParams(1, 0, 0, 1), 0, 4.0, 0))
+    _, norm = cat_state(4.0, math.pi / 2, choose_cutoff(ModelParams(1, 0, 0, 1), 4.0, 0))
     assert norm**2 == pytest.approx(1.0 / (2 + 2 * math.exp(-32)), rel=1e-9)
 
 
@@ -233,16 +248,16 @@ def test_cat_norm_closed_form_cross_check():
 # ----------------------------------------------------------------- bounds
 
 def test_choose_cutoff_floor():
-    assert choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 0.0, 0) == 16
+    assert choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 0) == 16
 
 
 def test_choose_cutoff_cat_case():
-    got = choose_cutoff(ModelParams(1.0, 0.0, 0.25, 8), 10.0, 2.0, 0)
+    got = choose_cutoff(ModelParams(1.0, 0.0, 0.25, 8), 2.0, 0)
     assert got >= 52
 
 
 def test_choose_cutoff_number_state_case():
-    got = choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 0.0, 4)
+    got = choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 4)
     assert got >= 32
     assert got >= 4  # |4> representable
 
@@ -272,6 +287,3 @@ def test_model_params_validation():
         ModelParams(1.0, -0.1, 0.1, 2)
     with pytest.raises(DomainError):
         ModelParams(1.0, 0.0, 0.1, 0)
-    p = ModelParams(1.0, 0.05, 0.25, 4)
-    assert p.perturbation_ratio == pytest.approx(0.05)
-    assert ModelParams(1.0, 0.1, 0.0, 2).perturbation_ratio == math.inf

@@ -141,7 +141,7 @@ class TestApplyUfSector:
 
     def test_norm_preserved_within_tolerance(self):
         p = params_for(8, 0.25)
-        ncut = choose_cutoff(p, 10.0, 2.0, 0)
+        ncut = choose_cutoff(p, 2.0, 0)
         psi, _ = cat_state(2.0, math.pi / 2, ncut)
         out = apply_uf_sector(psi, 8, p, t=math.pi)
         assert abs(out.norm - 1.0) < 1e-9
@@ -168,7 +168,7 @@ class TestEvolveCatLeading:
     def test_matches_sector_propagator_on_truncated_cat(self):
         p = params_for(8, 0.25)
         alpha, phi, t = 2.0, math.pi / 2, 1.3
-        ncut = choose_cutoff(p, 10.0, alpha, 0)
+        ncut = choose_cutoff(p, alpha, 0)
         psi0, _ = cat_state(alpha, phi, ncut)
         via_op = apply_uf_sector(psi0, 8, p, t)
         closed = evolve_cat_leading(p, alpha, phi, t, ncut)
@@ -194,7 +194,7 @@ class TestEvolveCatLeading:
     def test_cutoff_recommendation_keeps_tail_small(self):
         p = params_for(8, 0.25)
         alpha = 2.0
-        ncut = choose_cutoff(p, 10.0, alpha, 0)
+        ncut = choose_cutoff(p, alpha, 0)
         for t in [math.pi / 2, math.pi, 4.0]:
             out = evolve_cat_leading(p, alpha, math.pi / 2, t, ncut)
             assert out.tail_mass() < 1e-8
@@ -222,7 +222,7 @@ class TestEvolveFockLeading:
     def test_matches_sector_propagator_on_superposition(self):
         p = params_for(8, 0.25)
         k = 2
-        ncut = choose_cutoff(p, 10.0, 0.0, k)
+        ncut = choose_cutoff(p, 0.0, k)
         amps = np.zeros(ncut + 1, complex)
         amps[0] = amps[k] = 1 / math.sqrt(2)
         psi0 = FieldState(amps)

@@ -1,7 +1,6 @@
 """Spin-ensemble closed forms against the 2^N brute force and an
 independent dense-matrix referee."""
 
-import itertools
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from thermolim.errors import CapacityError, DomainError
 from thermolim.spins import (
     CollectiveState,
     ProductSpinSpec,
-    basis_transform,
     chi_prime_state,
     chi_state,
     ehrenfest_residual,
@@ -247,53 +245,11 @@ def test_sigma_z_coupling_weights():
         )
 
 
-def test_basis_transform_orthogonal_involution():
-    for n in (1, 2, 5, 9):
-        T = basis_transform(n)
-        np.testing.assert_allclose(T @ T.T, np.eye(n + 1), atol=1e-12)
-        np.testing.assert_allclose(T @ T, np.eye(n + 1), atol=1e-12)
-        np.testing.assert_allclose(T, T.T, atol=1e-15)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_basis_transform_matches_symmetrization(n):
-    # X-basis Dicke state with q minus-sites, written in the z-product
-    # basis, projected on the z-Dicke state with r down-spins
-    dims = 1 << n
-    T = basis_transform(n)
-    for q in range(n + 1):
-        vec = np.zeros(dims)
-        for minus_sites in itertools.combinations(range(n), q):
-            for s in range(dims):
-                amp = 1.0
-                for i in range(n):
-                    up = (s >> i) & 1
-                    if i in minus_sites:
-                        amp *= (1.0 if up else -1.0) / math.sqrt(2)
-                    else:
-                        amp *= 1.0 / math.sqrt(2)
-                vec[s] += amp
-        vec /= math.sqrt(math.comb(n, q))
-        for r in range(n + 1):
-            zvec = np.array([1.0 if bin(s).count("1") == n - r else 0.0 for s in range(dims)])
-            zvec /= np.linalg.norm(zvec)
-            assert float(zvec @ vec) == pytest.approx(T[r, q], abs=1e-12)
-
-
-def test_collective_state_roundtrip():
-    rng = np.random.default_rng(2)
-    amps = rng.normal(size=6) + 1j * rng.normal(size=6)
-    amps /= np.linalg.norm(amps)
-    st = CollectiveState(amps, "X")
-    back = st.to_basis("Z").to_basis("X")
-    np.testing.assert_allclose(back.amplitudes, st.amplitudes, atol=1e-12)
-
-
 def test_collective_state_validation():
     with pytest.raises(DomainError):
-        CollectiveState(np.array([1.0, 1.0]), "X")
+        CollectiveState(np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
-        CollectiveState(np.array([1.0, 0.0]), "Q")
+        CollectiveState(np.array([1.0]))
 
 
 def test_spec_validation_and_seeding():

@@ -200,7 +200,7 @@ class TestWIntClosed:
 
         p = params_for(4, 0.25)
         alpha, phi, t = 2.0, math.pi / 2, 1.3
-        ncut = choose_cutoff(p, 10.0, alpha, 0)
+        ncut = choose_cutoff(p, alpha, 0)
         fr = frame(p, alpha, phi, t)
         c1 = fr.beta_prime + alpha * np.exp(1j * (phi - t))
         c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - t))
