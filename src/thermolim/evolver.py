@@ -9,6 +9,9 @@ sector Hamiltonians
 
 plus the splitting (Delta/2) Sz_X (tridiagonal across sectors), all
 real symmetric, so the sparse matrix is its own transpose exactly.
+With the splitting off the sectors do not couple, so
+:func:`evolve_exact` propagates only the occupied sectors; the empty
+ones stay exactly empty.
 
 Every exponential e^{-iHt} in the package, here and in the Dyson
 terms, goes through :func:`expm_checked`: scipy's truncated-Taylor
@@ -176,6 +179,12 @@ def expm_checked(t: float, coarse, fine, keep: int | None = None,
 def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointState:
     """Propagate under the full Hamiltonian for time t.
 
+    With Delta = 0 the Hamiltonian is block diagonal in the sectors, so
+    only the occupied sectors (columns holding a nonzero amplitude) are
+    propagated and the empty ones come back exactly zero; with Delta != 0
+    the splitting links every sector to its neighbours and all are
+    propagated.
+
     One whole step and two half steps of :func:`expm_checked` must agree
     to 1e-8 and keep the norm to 1e-9, else an :class:`IntegrationError`
     carries the diagnostics; the field marginal of the result must pass
@@ -186,13 +195,20 @@ def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointSta
         raise ValidationError("state and Hamiltonian disagree on dimensions or params")
     if t == 0:
         return state
-    v0 = state.vector()
-    out, err = expm_checked(t, (spec.matrix, v0), (spec.matrix, v0))
+    h, v0 = spec.matrix, state.vector()
+    rows = slice(None)
+    occupied = np.any(state.amplitudes != 0, axis=0)
+    if state.params.delta == 0 and not occupied.all():
+        rows = np.repeat(occupied, state.ncut + 1)  # sector-major: q on a block of rows
+        h, v0 = h[rows][:, rows], v0[rows]
+    out, err = expm_checked(t, (h, v0), (h, v0))
     if not err <= _AGREEMENT_TOL:
         raise IntegrationError(
             f"whole step and two half steps differ by {err:.3e}, above 1e-8",
             diagnostics={"error_estimate": err})
-    out = JointState.from_vector(out, state.params)
+    full = np.zeros(state.amplitudes.size, dtype=np.complex128)
+    full[rows] = out
+    out = JointState.from_vector(full, state.params)
     out.field_marginal().require_tail()
     return out
 

@@ -162,6 +162,46 @@ class TestEvolveExact:
         u = scipy.linalg.expm(-1j * t * h_full)
         oracle = u @ (emb @ st.vector())
         np.testing.assert_allclose(emb @ out.vector(), oracle, atol=1e-10)
+        # the splitting links every sector to its neighbours: from chi
+        # alone, every sector was propagated and carries amplitude
+        assert np.all(np.any(out.amplitudes != 0, axis=0))
+
+    def test_split_off_nonadjacent_sectors_match_product_space_referee(self):
+        # Delta = 0 with amplitude in sectors 0 and 2 only: the restricted
+        # propagation must still match the 2^N oracle and leave 1 and 3 empty
+        n, ncut, t = 3, 30, 1.1
+        p = ModelParams(omega=1.0, delta=0.0, g=0.3, n_atoms=n)
+        spec = build_hamiltonian(p, ncut)
+        spin = CollectiveState(np.array([0.6, 0.0, 0.8j, 0.0]))
+        st = JointState.from_product(coherent_state(0.8 * np.exp(0.9j), ncut), spin, p)
+        out = evolve_exact(st, t, spec)
+        emb = symmetric_sector_embedding(n, ncut)
+        u = scipy.linalg.expm(-1j * t * product_space_hamiltonian(1.0, 0.0, 0.3, n, ncut))
+        np.testing.assert_allclose(emb @ out.vector(), u @ (emb @ st.vector()), atol=1e-10)
+        np.testing.assert_array_equal(out.amplitudes[:, [1, 3]], 0)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n_atoms=st.integers(1, 4), omega=st.floats(1.0, 2.0),
+           g=st.floats(0.0, 0.2), alpha=st.complex_numbers(max_magnitude=1.0),
+           t=st.floats(0.0, 5.0))
+    def test_split_off_matches_dense_expm_on_occupied_sectors(self, data, n_atoms,
+                                                             omega, g, alpha, t):
+        p = ModelParams(omega=omega, delta=0.0, g=g, n_atoms=n_atoms)
+        ncut = choose_cutoff(p, abs(alpha), 0)
+        assert ncut <= 40
+        occupied = sorted(data.draw(st.sets(st.integers(0, n_atoms), min_size=1)))
+        amps = np.zeros(n_atoms + 1, dtype=complex)
+        amps[occupied] = data.draw(st.lists(
+            st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+            min_size=len(occupied), max_size=len(occupied)))
+        spin = CollectiveState(amps / np.linalg.norm(amps))
+        st0 = JointState.from_product(coherent_state(alpha, ncut), spin, p)
+        spec = build_hamiltonian(p, ncut)
+        out = evolve_exact(st0, t, spec)
+        want = scipy.linalg.expm(-1j * t * spec.matrix.toarray()) @ st0.vector()
+        np.testing.assert_allclose(out.vector(), want, rtol=0, atol=1e-10)
+        empty = np.setdiff1d(np.arange(n_atoms + 1), occupied)
+        np.testing.assert_array_equal(out.amplitudes[:, empty], 0)
 
     def test_energy_conserved(self):
         p = ModelParams(omega=1.0, delta=0.3, g=0.25, n_atoms=4)
@@ -214,13 +254,15 @@ class TestEvolveExact:
         assert all(v < 1e-4 for v in infids.values())
         assert infids[2] < infids[8]
 
-    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
+    @pytest.mark.parametrize("delta", [0.0, 0.4])
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch, delta):
         # a phase kick per call breaks whole-vs-half-step agreement, a
-        # leak per call breaks the norm; both must raise with diagnostics
+        # leak per call breaks the norm; both must raise with diagnostics,
+        # on the occupied-sector path (Delta = 0) as on the full one
         def leaky(a, v):
             return (1.0 - 1e-6) * scipy.sparse.linalg.expm_multiply(a, v)
 
-        p = ModelParams(omega=1.0, delta=0.4, g=0.3, n_atoms=4)
+        p = ModelParams(omega=1.0, delta=delta, g=0.3, n_atoms=4)
         spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
         for engine, key, tol in [(phase_kicked_expm_multiply, "error_estimate", 1e-8),
