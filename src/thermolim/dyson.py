@@ -53,12 +53,8 @@ class CorrectionRecord:
     """One evaluated correction term.
 
     ``field_correction`` is unnormalized; its norm is the amplitude
-    reaching the target collective sector at this order."""
+    reaching chi' (first order) or returning to chi (second order)."""
 
-    order: int
-    target: str  # "chi" or "chi_prime"
-    t: float
-    params: ModelParams
     amplitude_norm: float
     field_correction: FieldState
     diagnostics: dict
@@ -125,22 +121,20 @@ def _van_loan(params: ModelParams, order: int, initial: FieldState,
     return sp.bmat(blocks, format="csr"), vec
 
 
-def _zero_record(order: int, target: str, params: ModelParams, t: float,
-                 ncut: int) -> CorrectionRecord:
+def _zero_record(ncut: int) -> CorrectionRecord:
     zero = FieldState(np.zeros(ncut + 1, complex), normalized=False)
-    return CorrectionRecord(order=order, target=target, t=t, params=params,
-                            amplitude_norm=0.0, field_correction=zero,
+    return CorrectionRecord(amplitude_norm=0.0, field_correction=zero,
                             diagnostics={"nodes": 0, "error_estimate": 0.0},
                             converged=True)
 
 
-def _correction(order: int, target: str, params: ModelParams, t: float,
+def _correction(order: int, params: ModelParams, t: float,
                 initial: FieldState) -> CorrectionRecord:
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     ncut = initial.ncut
     if params.delta == 0 or t == 0:
-        return _zero_record(order, target, params, t, ncut)
+        return _zero_record(ncut)
     pad = _fock_pad(ncut)
     fine = ncut + 2 * pad
     amps, err = expm_checked(t, _van_loan(params, order, initial, ncut + pad),
@@ -150,7 +144,6 @@ def _correction(order: int, target: str, params: ModelParams, t: float,
         raise QuadratureError(f"order-{order} correction produced non-finite values")
     field = FieldState(amps, normalized=False).require_tail()
     return CorrectionRecord(
-        order=order, target=target, t=t, params=params,
         amplitude_norm=float(np.linalg.norm(amps)), field_correction=field,
         diagnostics={"nodes": EXPM_CALLS, "error_estimate": err},
         converged=err <= _REL_TOL)
@@ -161,7 +154,7 @@ def first_order_correction(params: ModelParams, t: float,
     """Single-flip correction amplitude into the orthogonal collective
     sector: -i int_0^t U_{N-2}(t-s) V U_N(s) ds applied to the initial
     field."""
-    return _correction(1, "chi_prime", params, t, initial_field)
+    return _correction(1, params, t, initial_field)
 
 
 def second_order_correction(params: ModelParams, t: float,
@@ -169,7 +162,7 @@ def second_order_correction(params: ModelParams, t: float,
     """Flip-and-return correction on the original collective sector:
     the time-ordered double integral over 0 <= r <= s <= t of
     -U_N(t-s) V U_{N-2}(s-r) V U_N(r) applied to the initial field."""
-    return _correction(2, "chi", params, t, initial_field)
+    return _correction(2, params, t, initial_field)
 
 
 def scaling_fit(points) -> dict:

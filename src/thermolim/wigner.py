@@ -131,17 +131,16 @@ class WignerGrid:
                    np.zeros((nx, npts)))
 
 
-def default_grid(centers: Iterable[complex], spacing: float = 0.1,
-                 nsigma: float = 6.0) -> WignerGrid:
-    """Grid covering ``nsigma`` standard deviations (sigma = 1/sqrt2 in
-    these quadratures) around every coherent branch center, given in
+def default_grid(centers: Iterable[complex], spacing: float = 0.1) -> WignerGrid:
+    """Grid covering 6 standard deviations (sigma = 1/sqrt2 in these
+    quadratures) around every coherent branch center, given in
     field-amplitude units."""
     cs = [complex(c) for c in centers]
     if not cs:
         raise DomainError("need at least one branch center")
     xs = [math.sqrt(2) * c.real for c in cs]
     ps = [math.sqrt(2) * c.imag for c in cs]
-    pad = nsigma / math.sqrt(2)
+    pad = 6.0 / math.sqrt(2)
     return WignerGrid.empty(min(xs) - pad, max(xs) + pad,
                             min(ps) - pad, max(ps) + pad, spacing)
 
@@ -256,14 +255,12 @@ def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
     return math.atan2(v, u)
 
 
-def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float,
-                              n_samples: int = 4096) -> int:
-    """Sign changes of the central fringe cos(offset(t)) over one field
-    period; grows linearly with N at fixed coupling ratio."""
-    if n_samples < 16:
-        raise DomainError("need at least 16 samples")
-    period = 2 * math.pi / params.omega
-    ts = (np.arange(n_samples) + 0.5) * (period / n_samples)
+def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float) -> int:
+    """Sign changes of the central fringe cos(offset(t)) at 4096 midpoint
+    samples over one field period; grows linearly with N at fixed
+    coupling ratio."""
+    period, n = 2 * math.pi / params.omega, 4096
+    ts = (np.arange(n) + 0.5) * (period / n)
     vals = np.cos([interference_phase_offset(params, alpha, phi, t) for t in ts])
     return int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
 
@@ -304,22 +301,20 @@ def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> tuple[np.ndarra
 def time_average(
     evaluator: Callable[[float], "WignerGrid | np.ndarray | float"],
     window: tuple[float, float],
-    n_samples: int = 64,
 ) -> tuple["WignerGrid | np.ndarray", TimeAverageReport]:
     """Uniform finite-window average of a time-dependent grid (or plain
     array/scalar signal), the operational stand-in for a summability
     limit of the oscillating interference term.
 
-    Doubles the sample count until the pointwise change drops below
-    1e-4; after 4 doublings without convergence the result is returned
-    flagged rather than raised, so sweeps can report partial data.
+    Starts from 64 midpoint samples and doubles the count until the
+    pointwise change drops below 1e-4; after 4 doublings without
+    convergence the result is returned flagged rather than raised, so
+    sweeps can report partial data.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got {window}")
-    if n_samples < 64:
-        raise DomainError(f"need n_samples >= 64, got {n_samples}")
-    n = n_samples
+    n = 64
     current, sample = _mean_of_samples(evaluator, t0, t1, n)
     doublings = 0
     max_change = math.inf

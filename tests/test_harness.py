@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,17 +100,17 @@ class TestValidation:
 
     def test_explicit_spin_needs_matching_arrays(self):
         with pytest.raises(ValidationError, match="spin_a"):
-            make_config(study="spin-classical", spin_source="explicit",
-                        n_atoms=2, spin_a=[[1.0, 0.0]], spin_b=[[0, 0], [0, 0]])
+            make_config(study="spin-classical", n_atoms=2, spin_a=[[1.0, 0.0]],
+                        spin_b=[[0, 0], [0, 0]])
 
     def test_explicit_spin_norm_checked(self):
         with pytest.raises(ValidationError, match="spin_b"):
-            make_config(study="spin-classical", spin_source="explicit",
-                        n_atoms=1, spin_a=[[1.0, 0.0]], spin_b=[[0.5, 0.0]])
+            make_config(study="spin-classical", n_atoms=1, spin_a=[[1.0, 0.0]],
+                        spin_b=[[0.5, 0.0]])
 
-    def test_spin_arrays_require_explicit_source(self):
-        with pytest.raises(ValidationError, match="spin_a"):
-            make_config(study="spin-classical", spin_a=[[1.0, 0.0]])
+    def test_spin_a_without_spin_b_rejected(self):
+        with pytest.raises(ValidationError, match="^spin_b: must be a list"):
+            make_config(study="spin-classical", n_atoms=1, spin_a=[[1.0, 0.0]])
 
     def test_sweep_values_need_axis(self):
         with pytest.raises(ValidationError, match="sweep_values"):
@@ -125,10 +127,9 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^sweep_values: must be numbers"):
             make_config(study="spin-classical", sweep_axis=axis, sweep_values=values)
 
-    def test_sweep_limit_enforced(self):
-        with pytest.raises(ValidationError, match="sweep_limit"):
-            make_config(study="cat", sweep_axis="n_atoms",
-                        sweep_values=[2, 4, 8], sweep_limit=2)
+    def test_long_sweep_accepted(self):
+        cfg = make_config(study="cat", sweep_axis="seed", sweep_values=list(range(65)))
+        assert cfg.sweep_values == tuple(range(65))
 
     def test_bad_axis_named(self):
         with pytest.raises(ValidationError, match="sweep_axis"):
@@ -138,7 +139,6 @@ class TestValidation:
         cfg = make_config(study="cat")
         res = cfg.resolved()
         assert res["out_dir"] == "runs/cat"
-        assert res["tol_tail"] == 1e-8
         assert res["omega"] == 1.0
         assert res["sweep_axis"] is None
 
@@ -155,7 +155,7 @@ class TestValidation:
         assert cfg.out_dir == "elsewhere"
 
     @pytest.mark.parametrize("key", ["alpha", "phi", "t_max", "omega", "g",
-                                     "grid_nsigma", "tol_tail"])
+                                     "delta", "grid_spacing"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
     def test_non_finite_number_rejected(self, key, value):
         with pytest.raises(ValidationError, match=rf"^{key}: must be finite"):
@@ -245,7 +245,6 @@ class TestSpinClassicalStudy:
         s = 1 / math.sqrt(2)
         rec = run_scenario(make_config(
             study="spin-classical", n_atoms=2, delta=0.5, n_steps=2,
-            spin_source="explicit",
             spin_a=[[s, 0.0], [s, 0.0]], spin_b=[[s, 0.0], [0.0, s]],
             out_dir=str(tmp_path)))
         # xi = 2 sum Re(a* b)/N = (2/2)(1/2 + 0) = 0.5
@@ -489,6 +488,16 @@ class TestCli:
         assert result.exit_code != 0
         assert "omega" in result.output
 
+    @pytest.mark.parametrize("key, value", [
+        ("spin_source", '"explicit"'), ("sweep_limit", "64"), ("tol_tail", "1e-8"),
+        ("grid_nsigma", "6.0"), ("avg_samples", "64")])
+    def test_removed_key_is_named(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        result = CliRunner().invoke(cli_main, ["cat", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert f"Error: {key}: unknown config key" in result.output
+
     def test_emit_toggles_binary_grid(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("g = 0.25\nn_atoms = 2\nalpha = 1.5\nn_steps = 2\n",
@@ -536,3 +545,13 @@ class TestCli:
     def test_missing_config_flag_is_usage_error(self):
         result = CliRunner().invoke(cli_main, ["cat"])
         assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------- README
+
+def test_readme_quick_start_prints_unit_fidelity(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"## Quick start\n\n```python\n(.*?)```",
+                         readme.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(1.0, rel=0, abs=1e-9)
