@@ -330,12 +330,15 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.n_steps + 1)
 
 
-def _initial_field(config: ScenarioConfig, ncut: int) -> FieldState:
-    """vacuum, the cat, or the model's (|0> + |k>)/sqrt2 superposition."""
-    if config.initial_state == "cat":
-        return cat_state(config.alpha, config.phi, ncut)[0]
-    amps = np.zeros(ncut + 1, dtype=complex)
-    k = config.fock_k if config.initial_state == "fock" else 0
+def _initial_field(config: ScenarioConfig, kind: str) -> FieldState:
+    """The cat, the model's (|0> + |k>)/sqrt2 superposition, or vacuum, on
+    the Fock cutoff that ``kind`` alone needs."""
+    p = config.params
+    if kind == "cat":
+        return cat_state(config.alpha, config.phi,
+                         choose_cutoff(p, config.alpha, 0))[0]
+    k = config.fock_k if kind == "fock" else 0
+    amps = np.zeros(choose_cutoff(p, 0.0, k) + 1, dtype=complex)
     if k == 0:
         amps[0] = 1.0
     else:
@@ -395,14 +398,15 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     return _StudyResult(cols, rows, summary, [], [])
 
 
-def _leading_field(config: ScenarioConfig, t: float, ncut: int) -> FieldState:
+def _leading_field(config: ScenarioConfig, kind: str, t: float,
+                   ncut: int) -> FieldState:
     """Closed leading-order field of the cat or the Fock superposition."""
-    if config.initial_state == "cat":
+    if kind == "cat":
         return evolve_cat_leading(config.params, config.alpha, config.phi, t, ncut)
     return evolve_fock_leading(config.params, config.fock_k, t, ncut)
 
 
-def _exact_trajectory(config: ScenarioConfig, field0: FieldState):
+def _exact_trajectory(config: ScenarioConfig, kind: str, field0: FieldState):
     """Exact evolution of field0 (x) chi stepped along the time grid: yields
     ``(t, state, chi projection, closed leading-order field)`` per point."""
     p = config.params
@@ -413,22 +417,22 @@ def _exact_trajectory(config: ScenarioConfig, field0: FieldState):
     for i, t in enumerate(_time_grid(config)):
         if i:
             state = evolve_exact(state, dt, spec)
-        yield t, state, project_chi(state, chi), _leading_field(config, t, field0.ncut)
+        yield (t, state, project_chi(state, chi),
+               _leading_field(config, kind, t, field0.ncut))
 
 
-def _leading_vs_exact(config: ScenarioConfig) -> _StudyResult:
+def _leading_vs_exact(config: ScenarioConfig, kind: str) -> _StudyResult:
     """Shared cat/fock pipeline: exact joint evolution stepped along the
     grid against the closed leading-order field, fidelity per step."""
-    p = config.params
-    ncut = choose_cutoff(p, config.alpha, config.fock_k)
+    field0 = _initial_field(config, kind)
     rows = []
-    for t, state, proj, lead in _exact_trajectory(config, _initial_field(config, ncut)):
+    for t, state, proj, lead in _exact_trajectory(config, kind, field0):
         rows.append((t, fidelity(lead, proj),
                      float(np.linalg.norm(proj.amplitudes) ** 2),
                      abs(state.norm - 1.0)))
     fids = [r[1] for r in rows]
     summary = {
-        "ncut": ncut,
+        "ncut": field0.ncut,
         "min_fidelity": min(fids),
         "final_fidelity": fids[-1],
         "max_norm_drift": max(r[3] for r in rows),
@@ -439,12 +443,11 @@ def _leading_vs_exact(config: ScenarioConfig) -> _StudyResult:
 
 
 def _study_cat(config: ScenarioConfig) -> _StudyResult:
-    return _leading_vs_exact(dataclasses.replace(config, initial_state="cat"))
+    return _leading_vs_exact(config, "cat")
 
 
 def _study_fock(config: ScenarioConfig) -> _StudyResult:
-    return _leading_vs_exact(
-        dataclasses.replace(config, initial_state="fock", alpha=0.0))
+    return _leading_vs_exact(config, "fock")
 
 
 def _study_wigner(config: ScenarioConfig) -> _StudyResult:
@@ -500,9 +503,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
 
 def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    ncut = choose_cutoff(p, config.alpha if config.initial_state == "cat" else 0.0,
-                         config.fock_k if config.initial_state == "fock" else 0)
-    initial = _initial_field(config, ncut)
+    initial = _initial_field(config, config.initial_state)
     flags = []
     rows = []
     first_at_tmax = math.nan
@@ -519,7 +520,7 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     rows.append((2, p.n_atoms, config.t_max, second.amplitude_norm,
                  second.diagnostics["error_estimate"]))
     summary = {
-        "ncut": ncut,
+        "ncut": initial.ncut,
         "oscillatory_abs": abs(oscillatory_integral(p, config.t_max)),
         "first_amplitude": first_at_tmax,
         "second_amplitude": second.amplitude_norm,
@@ -532,11 +533,9 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
 
 def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    ncut = choose_cutoff(p, config.alpha, 0)
-    field0, _ = cat_state(config.alpha, config.phi, ncut)
+    field0 = _initial_field(config, "cat")
     rows = []
-    cat = dataclasses.replace(config, initial_state="cat")
-    for t, state, proj, lead in _exact_trajectory(cat, field0):
+    for t, state, proj, lead in _exact_trajectory(config, "cat", field0):
         weight = float(np.linalg.norm(proj.amplitudes) ** 2)
         residual = float(np.linalg.norm(proj.amplitudes - lead.amplitudes))
         infid = 1.0 - fidelity(lead, proj) if weight > 0 else math.nan
@@ -553,7 +552,7 @@ def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     r_corr = float(np.linalg.norm(state.amplitudes - pred))
     last = rows[-1]
     summary = {
-        "ncut": ncut,
+        "ncut": field0.ncut,
         "deficit": last[2],
         "residual_leading": r_lead,
         "residual_corrected": r_corr,

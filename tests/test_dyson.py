@@ -1,13 +1,17 @@
 """Perturbative detuning corrections: quadratures, sector transfer, scaling."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from conftest import displacement_expm, phase_kicked_expm_multiply, second_order_kernel
-from thermolim import evolver
+import thermolim
+from thermolim import dyson, evolver
 from thermolim.dyson import (
     CorrectionRecord,
     first_order_correction,
@@ -15,7 +19,7 @@ from thermolim.dyson import (
     scaling_fit,
     second_order_correction,
 )
-from thermolim.errors import DomainError
+from thermolim.errors import DomainError, QuadratureError
 from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
 from thermolim.fock import (
     FieldState,
@@ -64,15 +68,46 @@ class TestOscillatoryIntegral:
         assert oscillatory_integral(params_for(8, 0.0), 2.5) == complex(2.5)
 
     def test_matches_dense_simpson(self):
-        for n in [2, 8]:
+        # the last two cases reach c = 360 over ten periods and c = 1440,
+        # where the Bessel window is widest
+        for n, t, points, rtol in [(2, 3 * math.pi, 200_001, 1e-8),
+                                   (8, 3 * math.pi, 200_001, 1e-8),
+                                   (1000, 20 * math.pi, 2_000_001, 1e-10),
+                                   (4000, 2 * math.pi, 2_000_001, 1e-10)]:
             p = params_for(n, 0.3)
-            t = 3 * math.pi
-            ts = np.linspace(0.0, t, 200_001)
+            ts = np.linspace(0.0, t, points)
             wt = p.omega * ts
             th = 4.0 * (n - 1) * (p.g / p.omega) ** 2 * (wt - np.sin(wt))
             ref = simpson(np.exp(1j * th), x=ts)
             got = oscillatory_integral(p, t)
-            assert abs(got - ref) <= 1e-8 * abs(ref)
+            assert abs(got - ref) <= rtol * abs(ref)
+
+    def test_large_n_airy_asymptote(self):
+        # Near each revival s_m = 2 pi m / omega the phase is
+        # 2 pi m c + a (s - s_m)^3 with a = c omega^3 / 6, and
+        # int e^{i a u^3} du is Gamma(1/3) e^{+-i pi/6} / (3 a^(1/3)) on each
+        # half line.  Interior revivals take both halves; the two ends of
+        # [0, t] take one each.
+        for t in [2 * math.pi, 6 * math.pi]:
+            gaps = []
+            for n, rtol in [(1000, 1e-2), (10_000, 2e-3)]:
+                p = params_for(n, 0.25)
+                c = 4.0 * (n - 1) * (p.g / p.omega) ** 2
+                half = math.gamma(1 / 3) / (3 * (c * p.omega**3 / 6) ** (1 / 3))
+                last = round(p.omega * t / (2 * math.pi))
+                terms = [half * (np.exp(1j * math.pi / 6) * (m < last)
+                                 + np.exp(-1j * math.pi / 6) * (m > 0))
+                         * np.exp(2j * math.pi * m * c) for m in range(last + 1)]
+                got = oscillatory_integral(p, t)
+                gaps.append(abs(got - sum(terms)) / abs(got))
+                assert gaps[-1] <= rtol
+            assert gaps[1] < gaps[0]
+
+    def test_bessel_window_edge_is_checked(self, monkeypatch):
+        # edge terms that have not decayed mean the window was too narrow
+        monkeypatch.setattr(dyson, "jv", lambda n, c: np.full(np.shape(n), 1e-3))
+        with pytest.raises(QuadratureError):
+            oscillatory_integral(params_for(8, 0.3), 3 * math.pi)
 
     def test_frozen_three_period_sweep(self):
         # |integral| at t = 3 periods, g/omega = 0.3, computed once with an
@@ -97,6 +132,16 @@ class TestOscillatoryIntegral:
         fit = scaling_fit(pts)
         assert fit["exponent"] == pytest.approx(-0.45429, abs=1e-3)
         assert fit["exponent"] <= -1.0 / 3.0
+
+
+def test_import_loads_no_quadrature_or_optimizer():
+    # scipy.integrate pulls in scipy.optimize; neither is needed at run time
+    probe = ("import sys, thermolim; print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    src = str(Path(thermolim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------- first-order transfer

@@ -276,6 +276,15 @@ class TestCatStudy:
         assert rec.summary["min_fidelity"] >= 1.0 - 1e-8
         assert rec.summary["max_norm_drift"] <= 1e-9
 
+    def test_fock_k_does_not_reach_the_cat(self, tmp_path):
+        # fock_k belongs to the fock study; the cat's cutoff comes from alpha.
+        recs = [run_scenario(make_config(study="cat", n_atoms=4, fock_k=k,
+                                         out_dir=str(tmp_path / str(k))))
+                for k in (0, 4)]
+        assert recs[0].summary["ncut"] == recs[1].summary["ncut"]
+        assert ((tmp_path / "0" / "cat.csv").read_bytes()
+                == (tmp_path / "4" / "cat.csv").read_bytes())
+
 
 class TestFockStudy:
     def test_superposition_exact_at_zero_detuning(self, tmp_path):
