@@ -6,7 +6,7 @@ number states, matrix elements of the displacement operator
 ``D[a] = exp(a ad - conj(a) a)`` evaluated through a bounded associated-
 Laguerre recurrence, and the cutoff policy that certifies tail mass.
 
-All factorial ratios go through ``lgamma`` and every displacement
+All factorial ratios go through log-gamma and every displacement
 magnitude is propagated in a form bounded by 1, so the kernels stay
 finite for cutoffs in the hundreds and displacement arguments |a|^2 in
 the thousands.
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import CutoffError, DomainError
 
@@ -215,7 +216,7 @@ def coherent_state(alpha: complex, ncut: int) -> FieldState:
         amps[0] = 1.0
         return FieldState(amps)
     logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) \
-        - 0.5 * np.array([math.lgamma(m + 1) for m in n])
+        - 0.5 * gammaln(n + 1)
     amps = np.exp(logmag + 1j * np.angle(alpha) * n)
     state = FieldState(amps / np.linalg.norm(amps))
     state.require_tail()

@@ -478,11 +478,12 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     ncut = choose_cutoff(p, a, 0)
     cat0, norm0 = cat_state(a, ph, ncut)
     w_full = wigner_numeric(cat0, grid)
-    X, P = grid.meshgrid()
-    branches = np.zeros_like(X)
-    for gamma in (a * np.exp(1j * ph), a * np.exp(-1j * ph)):
-        xb, pb = math.sqrt(2) * gamma.real, math.sqrt(2) * gamma.imag
-        branches += (1.0 / math.pi) * np.exp(-((X - xb) ** 2) - (P - pb) ** 2)
+    # two separable Gaussians: one rank-2 product of 1-D factors
+    gammas = a * np.exp(np.array([1j, -1j]) * ph)
+    xb, pb = math.sqrt(2) * gammas.real, math.sqrt(2) * gammas.imag
+    gx = np.exp(-((grid.x_axis[:, None] - xb) ** 2))
+    gp = np.exp(-((grid.p_axis - pb[:, None]) ** 2))
+    branches = (gx @ gp) / math.pi
     vis = fringe_visibility(w_full, grid.with_values(norm0**2 * branches))
 
     summary = {

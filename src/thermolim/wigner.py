@@ -205,6 +205,30 @@ def interference_phase_offset(params: ModelParams, alpha: float, phi: float,
             * math.sin(phi) * (1.0 - math.cos(wt)))
 
 
+def _fringe_factors(params: ModelParams, alpha: float, phi: float, t: float,
+                    grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
+    """1-D complex factors of the interference term over the grid axes,
+
+        fx = exp[-(x-xb)^2 - i k cos(wt) x],  fp = exp[-(p-pb)^2 + i k sin(wt) p],
+
+    with k = 2 sqrt2 a sin(phi) and (xb, pb) the branch midpoint, so that
+    envelope * e^{i fringe phase} = fx[:, None] * fp[None, :]."""
+    fr = frame(params, alpha, phi, t)
+    wt = params.omega * t
+    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
+    xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
+    k = 2.0 * math.sqrt(2) * alpha * math.sin(phi)
+    x, p = grid.x_axis, grid.p_axis
+    fx = np.exp(-((x - xb) ** 2) - 1j * (k * math.cos(wt)) * x)
+    fp = np.exp(-((p - pb) ** 2) + 1j * (k * math.sin(wt)) * p)
+    return fx, fp
+
+
+def _re_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re[u (x) v] as one real rank-2 GEMM; much faster than np.outer."""
+    return np.column_stack([u.real, -u.imag]) @ np.vstack([v.real, v.imag])
+
+
 def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
                  grid: WignerGrid) -> WignerGrid:
     """Closed-form interference term of the leading-order evolved cat,
@@ -215,17 +239,11 @@ def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
 
     centered on the branch midpoint m = beta' + a cos(phi) e^{-i w t}
     (xb = sqrt2 Re m, pb = sqrt2 Im m), with ``offset`` from
-    interference_phase_offset."""
-    fr = frame(params, alpha, phi, t)
-    wt = params.omega * t
-    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
-    xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
-    X, P = grid.meshgrid()
-    env = (2.0 / math.pi) * np.exp(-((X - xb) ** 2) - (P - pb) ** 2)
-    arg = (2.0 * math.sqrt(2) * alpha * math.sin(phi)
-           * (P * math.sin(wt) - X * math.cos(wt))
-           + interference_phase_offset(params, alpha, phi, t))
-    return grid.with_values(env * np.cos(arg))
+    interference_phase_offset.  Evaluated as Re[c fx (x) fp] with
+    c = (2/pi) e^{i offset} and the 1-D factors of :func:`_fringe_factors`."""
+    fx, fp = _fringe_factors(params, alpha, phi, t, grid)
+    c = (2.0 / math.pi) * np.exp(1j * interference_phase_offset(params, alpha, phi, t))
+    return grid.with_values(_re_outer(c * fx, fp))
 
 
 def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
@@ -233,17 +251,12 @@ def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
     """Recover the constant fringe phase from an interference grid by
     envelope-weighted least squares against the known linear part.
     Returns the principal value in (-pi, pi]."""
-    fr = frame(params, alpha, phi, t)
-    wt = params.omega * t
-    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
-    xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
-    X, P = grid.meshgrid()
-    env = (2.0 / math.pi) * np.exp(-((X - xb) ** 2) - (P - pb) ** 2)
-    lin = (2.0 * math.sqrt(2) * alpha * math.sin(phi)
-           * (P * math.sin(wt) - X * math.cos(wt)))
-    # vals = env (cos lin cos c - sin lin sin c): 2x2 normal equations
-    a1 = (env * np.cos(lin)).ravel()
-    a2 = (-env * np.sin(lin)).ravel()
+    fx, fp = _fringe_factors(params, alpha, phi, t, grid)
+    # vals = env (cos lin cos c - sin lin sin c) = Re[e^{ic} (2/pi) fx (x) fp]:
+    # 2x2 normal equations on the bases a1 = Re, a2 = -Im of (2/pi) fx (x) fp
+    gx = (2.0 / math.pi) * fx
+    a1 = _re_outer(gx, fp).ravel()
+    a2 = _re_outer(1j * gx, fp).ravel()
     b = np.asarray(grid.values).ravel()
     g11, g12, g22 = a1 @ a1, a1 @ a2, a2 @ a2
     r1, r2 = a1 @ b, a2 @ b
@@ -277,7 +290,9 @@ class TimeAverageReport:
 
 def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> tuple[np.ndarray, Any]:
     """Midpoint mean of n samples, and the last sample, whose geometry a
-    grid result takes."""
+    grid result takes.  A sample is held, not copied, until the next one
+    is added to it, so an evaluator must not overwrite an array it has
+    already returned."""
     # midpoint sampling: exact for full periods of trig signals; pairwise
     # reduction keeps the result independent of any chunking
     h = (t1 - t0) / n
@@ -285,7 +300,7 @@ def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> tuple[np.ndarra
     for i in range(n):
         v = evaluator(t0 + (i + 0.5) * h)
         arr = np.asarray(v.values if isinstance(v, WignerGrid) else v, dtype=np.float64)
-        level, acc, cnt = 0, arr.copy(), 1
+        level, acc, cnt = 0, arr, 1
         while stack and stack[-1][0] == level:
             lvl, prev, pcnt = stack.pop()
             acc = prev + acc

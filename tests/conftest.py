@@ -2,8 +2,10 @@
 
 Nothing here imports evaluation code from the package under test: the
 Laguerre oracle is the exact finite series in rational arithmetic, the
-displacement oracles are a truncated matrix exponential (float64) and a
-normal-ordered series in 50-digit arithmetic, the second-order Dyson
+displacement oracles are a truncated matrix exponential (float64, by one
+cached eigendecomposition per ladder, cross-checked against Pade) and a
+normal-ordered series in 50-digit arithmetic, the closed cat fringes are
+evaluated pointwise on a full meshgrid, the second-order Dyson
 kernel is written out from the displacement oracle, and the joint-model
 oracle builds the full 2^N product-space Hamiltonian with dense kron
 products.  Tests freeze values computed from these, then compare the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+import functools
 import math
 
 import numpy as np
@@ -42,16 +45,60 @@ def laguerre_series(n: int, k: int, x) -> Fraction | float:
     return total if exact else math.fsum(terms)
 
 
-def displacement_expm(ncut: int, alpha: complex) -> np.ndarray:
-    """exp(alpha ad - conj(alpha) a) on a truncated ladder via Pade expm.
+def displacement_generator(ncut: int, alpha: complex) -> np.ndarray:
+    """alpha ad - conj(alpha) a on the truncated ladder 0..ncut."""
+    ad = np.diag(np.sqrt(np.arange(1, ncut + 1)), -1)
+    return alpha * ad - np.conj(alpha) * ad.T
 
-    Accurate in the lower-left block well away from the cutoff; callers
-    slice out the rows/cols they trust.
+
+def displacement_pade(ncut: int, alpha: complex) -> np.ndarray:
+    """exp(alpha ad - conj(alpha) a) on a truncated ladder via Pade expm;
+    the cross-check for :func:`displacement_expm`."""
+    return scipy.linalg.expm(displacement_generator(ncut, alpha))
+
+
+@functools.lru_cache(maxsize=32)
+def _quadrature_eigh(ncut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian i(ad - a) on the ladder 0..ncut."""
+    lam, vec = np.linalg.eigh(1j * displacement_generator(ncut, 1.0))
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    return lam, vec
+
+
+def displacement_expm(ncut: int, alpha: complex) -> np.ndarray:
+    """exp(alpha ad - conj(alpha) a) on a truncated ladder.
+
+    With alpha = r e^{i theta} the generator is R (ad - a) r R^dagger,
+    R = e^{i theta n}, and ad - a = -i G for the Hermitian G = V Lam V^dagger,
+    so D = R V e^{-i r Lam} V^dagger R^dagger with one cached ``eigh`` per
+    ladder size.  It is the same truncated exponential as
+    :func:`displacement_pade`: accurate in the lower-left block well away
+    from the cutoff; callers slice out the rows/cols they trust.
     """
-    n = np.arange(1, ncut + 1)
-    ad = np.diag(np.sqrt(n), -1)
-    gen = alpha * ad - np.conj(alpha) * ad.conj().T
-    return scipy.linalg.expm(gen)
+    alpha = complex(alpha)
+    if alpha == 0:
+        return np.eye(ncut + 1, dtype=complex)
+    lam, vec = _quadrature_eigh(ncut)
+    rot = np.exp(1j * cmath.phase(alpha) * np.arange(ncut + 1))
+    left = rot[:, None] * vec
+    return (left * np.exp(-1j * abs(alpha) * lam)) @ left.conj().T
+
+
+def w_int_meshgrid(grid, beta_prime: complex, alpha: float, phi: float,
+                   wt: float, offset: float) -> np.ndarray:
+    """Closed-form cat interference term evaluated pointwise on the full
+    meshgrid, (2/pi) exp[-(x-xb)^2 - (p-pb)^2] cos[lin + offset], given
+    the frame's beta' and the fringe offset; the referee for the
+    separable evaluation."""
+    mid = beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
+    xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
+    X, P = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    env = (2.0 / math.pi) * np.exp(-((X - xb) ** 2) - (P - pb) ** 2)
+    arg = (2.0 * math.sqrt(2) * alpha * math.sin(phi)
+           * (P * math.sin(wt) - X * math.cos(wt))
+           + offset)
+    return env * np.cos(arg)
 
 
 def second_order_kernel(params, t_outer: float, t_inner: float,

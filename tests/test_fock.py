@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, displacement_series_mp, laguerre_series
+from conftest import displacement_expm, displacement_pade, displacement_series_mp, laguerre_series
 from thermolim.errors import CutoffError, DomainError
 from thermolim.fock import (
     FieldState,
@@ -111,6 +111,15 @@ def test_displacement_1_1_element():
     assert displacement_element(1, 1, 0.5) == pytest.approx(want, rel=1e-12)
     oracle = displacement_expm(45, 0.5)[1, 1]
     assert displacement_element(1, 1, 0.5) == pytest.approx(oracle.real, rel=1e-10)
+
+
+@pytest.mark.parametrize("ncut,alpha", [(0, 0.3), (30, 0.0), (45, 0.5), (60, 1.1 + 0.7j),
+                                        (80, -0.4 + 1.9j), (166, 2.5 - 1.5j)])
+def test_displacement_oracle_matches_pade(ncut, alpha):
+    # the cached-eigh oracle and Pade exponentiate the same truncated
+    # generator, so they agree on the whole ladder, not only the trusted block
+    np.testing.assert_allclose(displacement_expm(ncut, alpha), displacement_pade(ncut, alpha),
+                               rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.1 + 0.7j, -0.4 + 1.9j])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm
+from conftest import displacement_expm, w_int_meshgrid
 from thermolim.errors import CutoffError, DomainError, ValidationError
 from thermolim.fock import (
     FieldState,
@@ -179,6 +179,31 @@ class TestWIntClosed:
         fr = frame(p, 2.0, 0.0, 0.7)
         mid = fr.beta_prime + 2.0 * np.exp(-1j * 0.7)
         np.testing.assert_allclose(w.values, 2 * gaussian_on(grid, mid), atol=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 16), g=st.floats(0.1, 0.5), alpha=st.floats(0.5, 3.0),
+           phi=st.floats(0.0, math.pi), t=st.floats(0.0, 2 * math.pi))
+    def test_separable_form_matches_meshgrid(self, n_atoms, g, alpha, phi, t):
+        # nx != np, so a transposed factor product cannot pass
+        p = params_for(n_atoms, g)
+        fr = frame(p, alpha, phi, t)
+        mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
+        xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
+        grid = WignerGrid.empty(xb - 5.0, xb + 5.0, pb - 3.5, pb + 4.0, 0.1)
+        assert grid.nx != grid.np
+        want = w_int_meshgrid(grid, fr.beta_prime, alpha, phi, t,
+                              interference_phase_offset(p, alpha, phi, t))
+        got = w_int_closed(p, alpha, phi, t, grid).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, math.pi])
+    def test_fit_rejects_aligned_branches(self, t):
+        # at phi = 0 there are no fringes, so no phase can be fitted
+        p = params_for(4, 0.25)
+        grid = default_grid([2.0])
+        w = w_int_closed(p, 2.0, 0.0, t, grid)
+        with pytest.raises(DomainError, match="degenerate"):
+            fit_interference_offset(w, p, 2.0, 0.0, t)
 
     def test_static_cat_cross_term(self):
         # subtracting the branch Gaussians from the full cat Wigner
