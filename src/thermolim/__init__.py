@@ -45,7 +45,6 @@ from .spins import (
     sigma_z_coupling,
 )
 from .propagator import (
-    AnalyticFrame,
     apply_uf_sector,
     asymptotic_branch_ratio,
     evolve_cat_leading,
@@ -54,7 +53,6 @@ from .propagator import (
     sector_frame,
 )
 from .wigner import (
-    TimeAverageReport,
     WignerGrid,
     count_time_zero_crossings,
     default_grid,
@@ -66,7 +64,6 @@ from .wigner import (
     wigner_numeric,
 )
 from .evolver import (
-    HamiltonianSpec,
     JointState,
     build_hamiltonian,
     evolve_exact,

@@ -147,95 +147,87 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
     return cur
 
 
-def _scaled_diagonal(d: int, x, jmax: int) -> np.ndarray:
-    """Magnitudes of the displacement diagonal n - k = d >= 0.
+def _scaled_diagonal(d, x, jmax: int) -> np.ndarray:
+    """Magnitudes of the displacement diagonals n - k = d >= 0.
 
     Returns M[j] = exp(-x/2) x^(d/2) sqrt(j!/(j+d)!) L_j^(d)(x) for
-    j = 0..jmax, vectorized over an array argument ``x = |a|^2``.  Each
-    M[j] is a unitary matrix element in magnitude, so the recurrence is
-    bounded by 1 and cannot overflow even for x in the thousands.
+    j = 0..jmax, vectorized over the diagonal ``d`` and the argument
+    ``x = |a|^2`` (broadcast together).  Each M[j] is a unitary matrix
+    element in magnitude, so the recurrence is bounded by 1 and cannot
+    overflow even for x in the thousands.
     """
+    d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((jmax + 1,) + x.shape, dtype=np.float64)
+    out = np.empty((jmax + 1,) + np.broadcast_shapes(d.shape, x.shape))
     with np.errstate(divide="ignore"):  # log(0) at grid points with x = 0
         logm0 = -0.5 * x + 0.5 * d * np.log(np.where(x > 0, x, 1.0)) \
-            - 0.5 * math.lgamma(d + 1)
-    m0 = np.exp(logm0)
-    if d > 0:
-        m0 = np.where(x > 0, m0, 0.0)
-    out[0] = m0
+            - 0.5 * gammaln(d + 1)
+    out[0] = np.where(x > 0, np.exp(logm0), d == 0)  # x^(d/2) = [d = 0] at x = 0
     if jmax >= 1:
-        out[1] = m0 * (1.0 + d - x) / math.sqrt(1 + d)
-    for j in range(1, jmax):
-        # scaled three-term recurrence; coefficients are O(1)
-        a = (2 * j + 1 + d - x) / math.sqrt((j + 1) * (j + 1 + d))
-        b = math.sqrt(j * (j + d) / ((j + 1) * (j + 1 + d)))
-        out[j + 1] = a * out[j] - b * out[j - 1]
+        out[1] = out[0] * (1.0 + d - x) / np.sqrt(1 + d)
+    # scaled three-term recurrence; coefficients are O(1) and computed
+    # for every step at once, so the loop below does array work only
+    j = np.arange(1.0, jmax).reshape((-1,) + (1,) * d.ndim)
+    c = 2 * j + 1 + d
+    s = np.sqrt((j + 1) * (j + 1 + d))
+    b = np.sqrt(j * (j + d) / ((j + 1) * (j + 1 + d)))
+    for i in range(jmax - 1):
+        out[i + 2] = (c[i] - x) / s[i] * out[i + 1] - b[i] * out[i]
     return out
+
+
+def _displacement_elements(n, k, alpha: complex) -> np.ndarray:
+    """<n|D[alpha]|k> for broadcastable photon-number arrays n and k.
+
+    ``<n|D|k> = M_{|n-k|}[min(n, k)] e^{i(n-k) theta}`` with the sign
+    (-1)^(k-n) above the diagonal (Cahill & Glauber 1969), read from one
+    bounded recurrence over the diagonals n - k reaches.  Exactly the
+    identity at alpha = 0, where the recurrence is not bit-exact.
+    """
+    n, k = np.broadcast_arrays(n, k)
+    if alpha == 0:
+        return (n == k).astype(np.complex128)
+    d = n - k
+    lo = np.minimum(n, k)
+    ad = np.abs(d)
+    mags = _scaled_diagonal(np.arange(ad.max() + 1), abs(alpha) ** 2, lo.max())[lo, ad]
+    mags = np.where((d < 0) & (d % 2 == 1), -mags, mags)
+    return mags * np.exp(1j * (np.angle(alpha) * d))
 
 
 def displacement_matrix(ncut: int, alpha: complex) -> np.ndarray:
     """Dense (ncut+1) x (ncut+1) matrix of <n|D[alpha]|k>.
 
-    Assembled diagonal by diagonal from the bounded recurrence; cost
-    O(ncut^2).  The result is unitary up to truncation: the top rows
-    and columns lose mass that escaped past the cutoff.
+    All elements from one vectorized bounded recurrence; cost O(ncut^2).
+    The result is unitary up to truncation: the top rows and columns
+    lose mass that escaped past the cutoff.
     """
     if ncut < 0:
         raise DomainError(f"need ncut >= 0, got {ncut}")
-    alpha = complex(alpha)
-    dim = ncut + 1
-    if alpha == 0:
-        return np.eye(dim, dtype=np.complex128)
-    x = abs(alpha) ** 2
-    theta = np.angle(alpha)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for d in range(dim):
-        mags = _scaled_diagonal(d, x, ncut - d)
-        upper = mags * np.exp(1j * d * theta)
-        idx = np.arange(dim - d)
-        out[idx + d, idx] = upper
-        if d > 0:
-            out[idx, idx + d] = (-1) ** d * np.conj(upper)
-    return out
+    idx = np.arange(ncut + 1)
+    return _displacement_elements(idx[:, None], idx[None, :], complex(alpha))
 
 
 def coherent_state(alpha: complex, ncut: int) -> FieldState:
-    """Coherent state |alpha> = D[alpha]|0> on the truncated ladder.
-
-    Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) evaluated in the log
-    domain, then renormalized (truncation removes <= the tail budget).
-    Raises :class:`CutoffError` when the cutoff cannot hold the state.
-    """
-    alpha = complex(alpha)
-    if ncut < 0:
-        raise DomainError(f"need ncut >= 0, got {ncut}")
-    n = np.arange(ncut + 1)
-    if alpha == 0:
-        amps = np.zeros(ncut + 1, np.complex128)
-        amps[0] = 1.0
-        return FieldState(amps)
-    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) \
-        - 0.5 * gammaln(n + 1)
-    amps = np.exp(logmag + 1j * np.angle(alpha) * n)
-    state = FieldState(amps / np.linalg.norm(amps))
-    state.require_tail()
-    return state
+    """Coherent state |alpha> = D[alpha]|0> on the truncated ladder,
+    renormalized (truncation removes <= the tail budget).  Raises
+    :class:`CutoffError` when the cutoff cannot hold the state."""
+    return displaced_number_state(0, alpha, ncut)
 
 
 def displaced_number_state(k: int, alpha: complex, ncut: int) -> FieldState:
     """Displaced number state |k, alpha> = D[alpha]|k>.
 
-    Amplitudes are column k of the displacement matrix.  ``k`` must fit
-    under the cutoff; tail mass is certified like every constructed
-    state.
+    Amplitudes are column k of the displacement matrix, computed alone
+    at cost O(k ncut).  ``k`` must fit under the cutoff; tail mass is
+    certified like every constructed state.
     """
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
     k = int(k)
     if k > ncut:
         raise DomainError(f"k={k} exceeds ncut={ncut}")
-    col = displacement_matrix(ncut, alpha)[:, k]
+    col = _displacement_elements(np.arange(ncut + 1), k, complex(alpha))
     state = FieldState(col / np.linalg.norm(col))
     state.require_tail()
     return state

@@ -49,6 +49,7 @@ from .spins import (
     sigma_moments_closed,
 )
 from .wigner import (
+    MAX_SPACING,
     count_time_zero_crossings,
     default_grid,
     fit_interference_offset,
@@ -226,8 +227,8 @@ class ScenarioConfig:
 
         _require(self.t_max > 0, "t_max", f"must be positive, got {self.t_max}")
         _require(self.n_steps >= 1, "n_steps", f"must be >= 1, got {self.n_steps}")
-        _require(0 < self.grid_spacing <= 0.25, "grid_spacing",
-                 f"must lie in (0, 0.25], got {self.grid_spacing}")
+        _require(0 < self.grid_spacing <= MAX_SPACING, "grid_spacing",
+                 f"must lie in (0, {MAX_SPACING}], got {self.grid_spacing}")
         _require(0 <= self.seed < 2**64, "seed", f"must fit in u64, got {self.seed}")
         _require(self.workers >= 1, "workers", f"must be >= 1, got {self.workers}")
 

@@ -4,7 +4,8 @@ Nothing here imports evaluation code from the package under test: the
 Laguerre oracle is the exact finite series in rational arithmetic, the
 displacement oracles are a truncated matrix exponential (float64, by one
 cached eigendecomposition per ladder, cross-checked against Pade) and a
-normal-ordered series in 50-digit arithmetic, the closed cat fringes are
+normal-ordered series in 50-digit arithmetic, the coherent state is its
+log-domain Poisson amplitude formula, the closed cat fringes are
 evaluated pointwise on a full meshgrid, the second-order Dyson
 kernel is written out from the displacement oracle, and the joint-model
 oracle builds the full 2^N product-space Hamiltonian with dense kron
@@ -23,6 +24,7 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
 
 
 def laguerre_series(n: int, k: int, x) -> Fraction | float:
@@ -83,6 +85,22 @@ def displacement_expm(ncut: int, alpha: complex) -> np.ndarray:
     rot = np.exp(1j * cmath.phase(alpha) * np.arange(ncut + 1))
     left = rot[:, None] * vec
     return (left * np.exp(-1j * abs(alpha) * lam)) @ left.conj().T
+
+
+def coherent_closed(alpha: complex, ncut: int) -> np.ndarray:
+    """Coherent-state amplitudes exp(-|a|^2/2) a^n / sqrt(n!), n = 0..ncut,
+    evaluated in the log domain and renormalized on the truncated ladder
+    (exactly |0> at alpha = 0).  Independent of the Laguerre route."""
+    alpha = complex(alpha)
+    n = np.arange(ncut + 1)
+    if alpha == 0:
+        amps = np.zeros(ncut + 1, np.complex128)
+        amps[0] = 1.0
+        return amps
+    logmag = -0.5 * abs(alpha) ** 2 + n * math.log(abs(alpha)) \
+        - 0.5 * gammaln(n + 1)
+    amps = np.exp(logmag + 1j * np.angle(alpha) * n)
+    return amps / np.linalg.norm(amps)
 
 
 def w_int_meshgrid(grid, beta_prime: complex, alpha: float, phi: float,

@@ -1,5 +1,6 @@
 """Fock-space constructors and displacement kernels against exact oracles."""
 
+import cmath
 from fractions import Fraction
 import math
 
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, displacement_pade, displacement_series_mp, laguerre_series
+from conftest import coherent_closed, displacement_expm, displacement_pade, \
+    displacement_series_mp, laguerre_series
 from thermolim.errors import CutoffError, DomainError
 from thermolim.fock import (
+    TAIL_TOL,
     FieldState,
     ModelParams,
     assoc_laguerre,
@@ -208,9 +211,12 @@ def test_coherent_cutoff_error():
 
 
 def test_displaced_number_k0_is_coherent(subtests=None):
-    a = displaced_number_state(0, 1.3 - 0.4j, 50)
-    b = coherent_state(1.3 - 0.4j, 50)
-    np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+    # the k = 0 column against the log-domain Poisson formula
+    for alpha, ncut in [(1.3 - 0.4j, 50), (0.0, 16), (3.5j, 60), (-5.0 + 2.0j, 90)]:
+        want = coherent_closed(alpha, ncut)
+        np.testing.assert_allclose(coherent_state(alpha, ncut).amplitudes, want, atol=1e-12)
+        np.testing.assert_allclose(displaced_number_state(0, alpha, ncut).amplitudes,
+                                   want, atol=1e-12)
 
 
 def test_displaced_number_orthogonal_to_coherent():
@@ -221,11 +227,32 @@ def test_displaced_number_orthogonal_to_coherent():
         assert abs(overlap(coh, displaced_number_state(k, alpha, 70))) <= 1e-8
 
 
-def test_displaced_number_matches_expm_column():
-    oracle = displacement_expm(70, 1.5)[:, 2]
-    ours = displaced_number_state(2, 1.5, 70)
-    # oracle column is unnormalized only by truncation; compare low block
-    np.testing.assert_allclose(ours.amplitudes[:30], oracle[:30], atol=1e-10)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 8), alpha=st.complex_numbers(max_magnitude=4.0), data=st.data())
+def test_displaced_number_matches_expm_column(k, alpha, data):
+    ncut = data.draw(st.integers(k + 40, 90), label="ncut")
+    # the oracle ladder reaches 80 levels past the cutoff, so its column
+    # is exact on 0..ncut up to the mass that escapes the cutoff
+    oracle = displacement_expm(ncut + 80, alpha)[: ncut + 1, k]
+    try:
+        ours = displaced_number_state(k, alpha, ncut)
+    except CutoffError:
+        # refused only when the truncation band really holds the budget
+        assert FieldState(oracle / np.linalg.norm(oracle)).tail_mass() > TAIL_TOL
+        return
+    # the low block holds the rows n < k (sign and j = n) and the diagonal
+    block = k + 30
+    np.testing.assert_allclose(ours.amplitudes[:block], oracle[:block], atol=1e-10)
+
+
+@pytest.mark.parametrize("beta", [40.0, 40.0 * cmath.exp(1j * math.pi / 3)])
+def test_displaced_number_large_argument_matches_mp_series(beta):
+    # |2, beta> at |beta|^2 = 1600 on the cutoff the asymptotics gate uses
+    amps = displaced_number_state(2, beta, 2544).amplitudes
+    m = math.floor(abs(beta) ** 2)
+    for n in [0, 1, 2, m - 3, m + 3, m + 200]:
+        want = complex(displacement_series_mp(n, 2, beta))
+        assert abs(amps[n] - want) <= 1e-12, (n, amps[n], want)
 
 
 def test_displaced_number_precondition():
