@@ -6,8 +6,10 @@ One subcommand per study plus ``sweep``::
     thermolim sweep --config <file> [...]
 
 ``--emit wigner-bin`` switches the averaged Wigner artifact to the
-binary grid format.  The exit status is nonzero iff a convergence flag
-was raised (or, for sweeps, a point failed).
+binary grid format.  A study subcommand runs the sweep its config
+declares, if any, exactly as ``sweep`` does; a config without a sweep
+axis is one point run in the output directory itself.  The exit status
+is nonzero iff a run raised a convergence flag or a sweep point failed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .harness import (
     STUDY_NAMES,
     ScenarioConfig,
     load_config,
-    run_scenario,
     run_sweep,
 )
 
@@ -47,35 +48,35 @@ def _common_options(fn):
     return fn
 
 
-def _build_config(config_path, out_dir, workers, seed, emit, study=None):
+def _run(config_path, out_dir, workers, seed, emit, study=None) -> None:
+    """Run the config's sweep (one point without an axis) and report it."""
     try:
-        raw = load_config(config_path)
-        return ScenarioConfig.from_mapping(
-            raw, study=study, out_dir=out_dir, workers=workers, seed=seed,
+        config = ScenarioConfig.from_mapping(
+            load_config(config_path), study=study, out_dir=out_dir,
+            workers=workers, seed=seed,
             emit_wigner_bin=True if "wigner-bin" in emit else None)
+        records, aggregate = run_sweep(config)
     except ThermolimError as exc:
         raise click.ClickException(str(exc)) from exc
-
-
-def _report(record) -> None:
-    click.echo(f"{record.config.study}: {len(record.rows)} rows -> "
-               f"{record.out_dir} ({', '.join(sorted(record.manifest))})")
-    for flag in record.convergence_flags:
-        click.echo(f"flag: {flag}")
+    records = [record for record in records if record is not None]
+    for record in records:
+        click.echo(f"{record.config.study}: {len(record.rows)} rows -> "
+                   f"{record.out_dir} ({', '.join(sorted(record.manifest))})")
+        for flag in record.convergence_flags:
+            click.echo(f"flag: {flag}")
+    for entry in aggregate["points"]:
+        if "error" in entry:
+            click.echo(f"point {entry['value']}: {entry['error']}")
+    for key, value in sorted(aggregate["aggregates"].items()):
+        click.echo(f"{key}: {value}")
+    if aggregate["partial"] or any(r.convergence_flags for r in records):
+        raise SystemExit(1)
 
 
 def _make_study_command(study: str):
     @_common_options
-    def command(config_path, out_dir, workers, seed, emit):
-        config = _build_config(config_path, out_dir, workers, seed, emit,
-                               study=study)
-        try:
-            record = run_scenario(config)
-        except ThermolimError as exc:
-            raise click.ClickException(str(exc)) from exc
-        _report(record)
-        if record.convergence_flags:
-            raise SystemExit(1)
+    def command(**options):
+        _run(**options, study=study)
 
     command.__name__ = study.replace("-", "_")
     command.__doc__ = f"Run the {study} study pipeline."
@@ -88,24 +89,9 @@ for _study in STUDY_NAMES:
 
 @main.command(name="sweep")
 @_common_options
-def sweep(config_path, out_dir, workers, seed, emit):
+def sweep(**options):
     """Run the sweep declared in the config (study + axis + values)."""
-    config = _build_config(config_path, out_dir, workers, seed, emit)
-    try:
-        records, aggregate = run_sweep(config)
-    except ThermolimError as exc:
-        raise click.ClickException(str(exc)) from exc
-    for record in records:
-        if record is not None:
-            _report(record)
-    for entry in aggregate["points"]:
-        if "error" in entry:
-            click.echo(f"point {entry['value']}: {entry['error']}")
-    for key, value in sorted(aggregate["aggregates"].items()):
-        click.echo(f"{key}: {value}")
-    flagged = any(rec is not None and rec.convergence_flags for rec in records)
-    if aggregate["partial"] or flagged:
-        raise SystemExit(1)
+    _run(**options)
 
 
 if __name__ == "__main__":

@@ -73,9 +73,6 @@ __all__ = [
     "run_sweep",
 ]
 
-STUDY_NAMES = ("spin-classical", "cat", "fock", "wigner",
-               "dyson-scaling", "convergence")
-
 # numeric knobs a sweep may scan; everything else is fixed per sweep
 SWEEP_AXES = ("n_atoms", "delta", "g", "alpha", "phi", "fock_k",
               "t_max", "seed")
@@ -443,14 +440,6 @@ def _leading_vs_exact(config: ScenarioConfig, kind: str) -> _StudyResult:
     return _StudyResult(cols, rows, summary, [], [])
 
 
-def _study_cat(config: ScenarioConfig) -> _StudyResult:
-    return _leading_vs_exact(config, "cat")
-
-
-def _study_fock(config: ScenarioConfig) -> _StudyResult:
-    return _leading_vs_exact(config, "fock")
-
-
 def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     p = config.params
     a, ph = config.alpha, config.phi
@@ -567,12 +556,13 @@ def _study_convergence(config: ScenarioConfig) -> _StudyResult:
 
 _STUDIES = {
     "spin-classical": _study_spin_classical,
-    "cat": _study_cat,
-    "fock": _study_fock,
+    "cat": lambda config: _leading_vs_exact(config, "cat"),
+    "fock": lambda config: _leading_vs_exact(config, "fock"),
     "wigner": _study_wigner,
     "dyson-scaling": _study_dyson_scaling,
     "convergence": _study_convergence,
 }
+STUDY_NAMES = tuple(_STUDIES)
 
 
 # ---------------------------------------------------------------- drivers
@@ -643,6 +633,12 @@ def _sweep_aggregates(study: str, axis: str, points) -> dict[str, Any]:
     return out
 
 
+def _sweep_order(value: Any) -> tuple:
+    """Total order on sweep values: numeric, NaN last, equal numbers by repr."""
+    nan = value != value
+    return (nan, 0 if nan else value, repr(value))
+
+
 def run_sweep(config: ScenarioConfig) -> tuple[list[RunRecord | None], dict]:
     """Evaluate every sweep point (possibly concurrently) and write the
     aggregate JSON.
@@ -650,27 +646,21 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[RunRecord | None], dict]:
     Points are keyed and merged by axis value, so neither the worker
     count nor the order the values were written in the config can change
     any output byte.  A failed point is recorded and the aggregate is
-    marked partial; the other points still run.
+    marked partial; the other points still run.  A config without a sweep
+    axis is one point run in ``out_dir`` itself, and its error is raised.
     """
     out = Path(config.out_dir)
-    if config.sweep_axis is None:
-        record = run_scenario(config)
-        aggregate = {
-            "study": config.study, "axis": None, "partial": False,
-            "points": [{"value": None, "out_dir": record.out_dir,
-                        "summary": record.summary,
-                        "flags": list(record.convergence_flags)}],
-            "aggregates": {},
-        }
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_bytes(_json_bytes(aggregate))
-        return [record], aggregate
-
-    values = sorted(config.sweep_values)
-    dirs = [str(out / _point_dir_name(config.sweep_axis, v)) for v in values]
+    axis = config.sweep_axis
+    if axis is None:
+        values, dirs = [None], [str(out)]
+    else:
+        values = sorted(config.sweep_values, key=_sweep_order)
+        dirs = [str(out / _point_dir_name(axis, v)) for v in values]
 
     def attempt(point):
         value, pdir = point
+        if axis is None:
+            return run_scenario(config), None
         try:
             return run_scenario(config.point(value, pdir)), None
         except ThermolimError as exc:
@@ -696,11 +686,10 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[RunRecord | None], dict]:
 
     aggregate = {
         "study": config.study,
-        "axis": config.sweep_axis,
+        "axis": axis,
         "partial": partial,
         "points": entries,
-        "aggregates": _sweep_aggregates(config.study, config.sweep_axis,
-                                        fit_points),
+        "aggregates": _sweep_aggregates(config.study, axis, fit_points),
     }
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.json").write_bytes(_json_bytes(aggregate))

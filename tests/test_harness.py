@@ -434,11 +434,17 @@ class TestRunSweep:
 
     def test_value_order_cannot_change_bytes(self, tmp_path):
         base = dict(study="spin-classical", delta=1.0, n_steps=2, seed=5,
-                    out_dir=str(tmp_path), sweep_axis="n_atoms")
-        run_sweep(make_config(**base, sweep_values=[4, 8, 16]))
-        first = (tmp_path / "sweep.json").read_bytes()
-        run_sweep(make_config(**base, sweep_values=[16, 4, 8]))
-        assert (tmp_path / "sweep.json").read_bytes() == first
+                    out_dir=str(tmp_path))
+        # a NaN value fails only its own point and must not move the others
+        for axis, orders in [("n_atoms", ([4, 8, 16], [16, 4, 8])),
+                             ("alpha", ([math.nan, 1.0, 2.0],
+                                        [2.0, math.nan, 1.0]))]:
+            written = set()
+            for values in orders:
+                run_sweep(make_config(**base, sweep_axis=axis,
+                                      sweep_values=values))
+                written.add((tmp_path / "sweep.json").read_bytes())
+            assert len(written) == 1, axis
 
     def test_point_failure_marks_partial(self, tmp_path):
         records, aggregate = run_sweep(make_config(
@@ -489,6 +495,31 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "o" / "cat.csv").exists()
         assert "cat: 4 rows" in result.output
+
+    def test_study_command_runs_declared_sweep(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text('study = "spin-classical"\ndelta = 1.0\nn_steps = 2\n'
+                       'sweep_axis = "n_atoms"\nsweep_values = [2, 4, 8, 16]\n',
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        written = []
+        for command in (["spin-classical"], ["sweep", "--workers", "2"]):
+            result = CliRunner().invoke(
+                cli_main, command + ["--config", str(cfg), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert "exponent_fluctuation:" in result.output
+            files = [out / "sweep.json"] + [
+                out / f"n_atoms_{n}" / "spin-classical.csv" for n in [2, 4, 8, 16]]
+            written.append([f.read_bytes() for f in files])
+        assert written[0] == written[1]
+
+    def test_study_command_error_is_a_message(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("phi = 0.0\nn_atoms = 2\nn_steps = 1\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            cli_main, ["wigner", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code != 0
+        assert "Error: fringe geometry is degenerate" in result.output
 
     def test_validation_error_names_field(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
