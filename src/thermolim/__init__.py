@@ -4,8 +4,8 @@ Closed-form sector propagators and evolved cat states, Wigner-fringe
 diagnostics of superposition washout, perturbative (Dyson-series)
 corrections with N-scaling fits, and an exact small-N evolver that
 referees every analytic claim.  A reproducible CLI harness drives the
-study pipelines; all rates are naturally expressed in units of the mode
-frequency (Δ/ω, g/ω, ωt).
+study pipelines; every rate and time is in units of the mode frequency,
+so delta, g and t mean Δ/ω, g/ω and ωt and ω itself is not a setting.
 """
 
 __version__ = "0.1.0"

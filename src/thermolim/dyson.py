@@ -3,9 +3,10 @@
 Treating the Delta/2 sigma-z sum as the perturbation on top of the
 sector propagators, a single flip out of the extremal sector carries
 collective weight sqrt(N) and lands in the m = N-2 sector.  With
-V = (Delta/2) sqrt(N) and H_m the sector Hamiltonian, the first-order
-correction (reaching the orthogonal collective state) and the
-second-order return amplitude (back on the original one) are
+V = (Delta/2) sqrt(N) and H_m the sector Hamiltonian (Delta and t mean
+Delta/omega and omega t), the first-order correction (reaching the
+orthogonal collective state) and the second-order return amplitude
+(back on the original one) are
 
     -i   int_0^t U_{N-2}(t-s) V U_N(s) psi0 ds,
     (-i)^2 int_0^t int_0^s U_N(t-s) V U_{N-2}(s-r) V U_N(r) psi0 dr ds.
@@ -62,25 +63,25 @@ class CorrectionRecord:
 
 
 def oscillatory_integral(params: ModelParams, t: float) -> complex:
-    """int_0^t exp(i Theta(t')) dt', Theta = c (omega t' - sin omega t') with
-    c = 4 (N-1) (g/omega)^2, as a closed Bessel sum.
+    """int_0^t exp(i Theta(t')) dt', Theta = c (t' - sin t') with
+    c = 4 (N-1) g^2, as a closed Bessel sum.
 
     The Jacobi-Anger expansion exp(-i c sin x) = sum_n J_n(c) exp(-i n x)
     (Abramowitz & Stegun 9.1.41) integrates term by term to
 
         t sum_n J_n(c) exp(i theta_n / 2) sinc(theta_n / 2 pi),
-        theta_n = (c - n) omega t,
+        theta_n = (c - n) t,
 
     summed over |n| <= m = ceil(c + 30 + 10 c^(1/3)).  The sum is exact
     at t = 0 and at c = 0.  A non-finite sum, or a window edge |J_m(c)|
     above 1e-16, raises ``QuadratureError``."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
-    c = 4.0 * (params.n_atoms - 1) * (params.g / params.omega) ** 2
+    c = 4.0 * (params.n_atoms - 1) * params.g ** 2
     m = math.ceil(c + 30 + 10 * c ** (1 / 3))
     n = np.arange(-m, m + 1)
     bessel = jv(n, c)
-    theta = (c - n) * (params.omega * t)
+    theta = (c - n) * t
     result = complex(t * np.sum(bessel * np.exp(0.5j * theta)
                                 * np.sinc(theta / (2 * math.pi))))
     edge = max(abs(bessel[0]), abs(bessel[-1]))

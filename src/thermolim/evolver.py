@@ -3,9 +3,10 @@
 The storage basis diagonalizes the dominant coupling: collective
 sigma-x sectors m = N - 2q label the columns, the Fock index labels the
 rows.  In that basis the Hamiltonian is the block diagonal of the
-sector Hamiltonians
+sector Hamiltonians, in units of the mode frequency omega (g, Delta
+and t mean g/omega, Delta/omega and omega t),
 
-    H_m = omega a^dag a + g m (a + a^dag)     (tridiagonal in n),
+    H_m = a^dag a + g m (a + a^dag)     (tridiagonal in n),
 
 plus the splitting (Delta/2) Sz_X (tridiagonal across sectors), all
 real symmetric, so the sparse matrix is its own transpose exactly.
@@ -120,11 +121,11 @@ class HamiltonianSpec:
 
 
 def sector_hamiltonian(params: ModelParams, m: int, ncut: int) -> sp.csr_matrix:
-    """H_m = omega n + g m (a + a^dag) on Fock levels 0..ncut: the field
+    """H_m = n + g m (a + a^dag) on Fock levels 0..ncut: the field
     Hamiltonian inside the sigma-x sector of eigenvalue m."""
     n = np.arange(ncut + 1, dtype=float)
     ladder = (params.g * m) * np.sqrt(n[1:])
-    return sp.diags([ladder, params.omega * n, ladder], [-1, 0, 1], format="csr")
+    return sp.diags([ladder, n, ladder], [-1, 0, 1], format="csr")
 
 
 def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:

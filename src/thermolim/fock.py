@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,28 +41,25 @@ TAIL_TOL = 1e-8  # shared tail-mass budget for every constructed state
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical constants of the model: mode frequency ``omega``, level
-    splitting ``delta``, coupling ``g``, and atom count ``n_atoms``.
-
-    Only the ratios delta/omega, g/omega and the product omega*t enter
-    any formula, so the harness works in omega = 1 units by default.
+    """Physical constants of the model: level splitting ``delta``,
+    coupling ``g`` and atom count ``n_atoms``.  Rates and times are in
+    units of the mode frequency omega: ``delta`` and ``g`` mean
+    delta/omega and g/omega, and a time t means omega t.
     """
 
-    omega: float
     delta: float
     g: float
     n_atoms: int
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"omega must be > 0, got {self.omega}")
-        if self.delta < 0:
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
-        if self.g < 0:
-            raise DomainError(f"g must be >= 0, got {self.g}")
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
-            raise DomainError(f"n_atoms must be an integer >= 1, got {self.n_atoms}")
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
+        for name in ("delta", "g"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and 0 <= value < math.inf):
+                raise DomainError(f"{name} must be finite and >= 0, got {value}")
+        n = self.n_atoms
+        if not (isinstance(n, Real) and 1 <= n < math.inf and n == math.floor(n)):
+            raise DomainError(f"n_atoms must be an integer >= 1, got {n}")
+        object.__setattr__(self, "n_atoms", int(n))
 
 
 @dataclass(frozen=True)
@@ -268,12 +266,12 @@ def choose_cutoff(params: ModelParams, alpha: float, k: int) -> int:
     produces from a cat (branch radius ``alpha``) or a number state
     ``k``, at any time.
 
-    The displacement excursion is bounded by 2 N g / omega for all t.
+    The displacement excursion is bounded by 2 N g for all t.
     Floor value 16 for the trivial vacuum case.
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
-    s = 2.0 * params.n_atoms * params.g / params.omega + alpha + math.sqrt(k)
+    s = 2.0 * params.n_atoms * params.g + alpha + math.sqrt(k)
     return math.ceil(s * s + 6.5 * s + 16.0)

@@ -167,10 +167,10 @@ class ScenarioConfig:
     """A fully resolved, validated description of one study run.
 
     Each field is one config key with its default.  ``params`` is derived:
-    the ``ModelParams`` of ``omega``, ``delta``, ``g`` and ``n_atoms``."""
+    the ``ModelParams`` of ``delta``, ``g`` and ``n_atoms``, which like
+    ``t_max`` are in units of the mode frequency omega (no ``omega`` key)."""
 
     study: str | None = None
-    omega: float = 1.0
     delta: float = 0.0
     g: float = 0.25
     n_atoms: int = 4
@@ -201,8 +201,7 @@ class ScenarioConfig:
             if check is not None:
                 put(f.name, check(getattr(self, f.name), f.name))
         try:
-            put("params", ModelParams(omega=self.omega, delta=self.delta,
-                                      g=self.g, n_atoms=self.n_atoms))
+            put("params", ModelParams(delta=self.delta, g=self.g, n_atoms=self.n_atoms))
         except DomainError as exc:
             raise ValidationError(str(exc)) from exc
 
@@ -447,7 +446,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     centers = []
     for t in np.linspace(0.0, config.t_max, 65):
         fr = frame(p, a, ph, t)
-        rot = np.exp(-1j * p.omega * t)
+        rot = np.exp(-1j * t)
         centers.append(fr.beta_prime + a * np.exp(1j * ph) * rot)
         centers.append(fr.beta_prime + a * np.exp(-1j * ph) * rot)
     grid = default_grid(centers, spacing=config.grid_spacing)

@@ -4,11 +4,12 @@ With the splitting switched off, the model is block-diagonal over
 collective sigma-x sectors, and within the sector of eigenvalue m the
 propagator is exactly a phase, a free rotation, and a displacement:
 
-    U_m(t) = e^{i xi_m(t)} e^{-i omega n t} D[beta_m(t)],
-    xi_m(t)   = (m g / omega)^2 (omega t - sin omega t),
-    beta_m(t) = (m g / omega) (1 - e^{i omega t}),
+    U_m(t) = e^{i xi_m(t)} e^{-i n t} D[beta_m(t)],
+    xi_m(t)   = (m g)^2 (t - sin t),
+    beta_m(t) = m g (1 - e^{i t}),
 
-applied right to left (displacement first).  Everything here follows
+applied right to left (displacement first), with g and t in units of
+the mode frequency omega (g/omega and omega t).  Everything here follows
 from composing that operator with coherent-state algebra: the evolved
 two-branch cat, the evolved number-state superposition, and the
 large-displacement asymptotics of the number-state branch.
@@ -67,11 +68,8 @@ def sector_frame(m: int, params: ModelParams, t: float) -> tuple[float, complex]
     N = params.n_atoms
     if m != int(m) or abs(m) > N or (N - m) % 2 != 0:
         raise DomainError(f"m={m} is not a sigma-x eigenvalue for N={N}")
-    wt = params.omega * t
-    ratio = m * params.g / params.omega
-    xi_m = ratio**2 * (wt - math.sin(wt))
-    beta_m = ratio * (1.0 - cmath.exp(1j * wt))
-    return xi_m, beta_m
+    ratio = m * params.g
+    return ratio**2 * (t - math.sin(t)), ratio * (1.0 - cmath.exp(1j * t))
 
 
 def frame(params: ModelParams, alpha: float, phi: float, t: float) -> AnalyticFrame:
@@ -85,9 +83,8 @@ def frame(params: ModelParams, alpha: float, phi: float, t: float) -> AnalyticFr
     """
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
-    wt = params.omega * t
     xi, beta = sector_frame(params.n_atoms, params, t)
-    beta_prime = beta * cmath.exp(-1j * wt)
+    beta_prime = beta * cmath.exp(-1j * t)
     phi1 = alpha * (beta * cmath.exp(-1j * phi)).imag
     phi2 = alpha * (beta * cmath.exp(1j * phi)).imag
     alt1 = (-1j * alpha * (beta * cmath.exp(-1j * phi) - beta.conjugate() * cmath.exp(1j * phi)) / 2)
@@ -105,7 +102,7 @@ def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) ->
     xi_m, beta_m = sector_frame(m, params, t)
     amps = displacement_matrix(state.ncut, beta_m) @ state.amplitudes
     n = np.arange(state.ncut + 1)
-    amps = cmath.exp(1j * xi_m) * np.exp(-1j * params.omega * t * n) * amps
+    amps = cmath.exp(1j * xi_m) * np.exp(-1j * t * n) * amps
     out = FieldState(amps, normalized=bool(abs(np.linalg.norm(amps) - 1.0) <= 1e-10))
     out.require_tail()
     return out
@@ -115,16 +112,15 @@ def evolve_cat_leading(
     params: ModelParams, alpha: float, phi: float, t: float, ncut: int
 ) -> FieldState:
     """Leading-order evolved cat: two coherent branches at
-    beta' + alpha e^{+-i phi - i omega t} with branch phases phi1/phi2
+    beta' + alpha e^{+-i phi - i t} with branch phases phi1/phi2
     and global phase xi, renormalized after truncation.
 
     The collective spin factor stays pinned to the extremal sector and
     is carried implicitly.
     """
     fr = frame(params, alpha, phi, t)
-    wt = params.omega * t
-    c1 = fr.beta_prime + alpha * cmath.exp(1j * phi - 1j * wt)
-    c2 = fr.beta_prime + alpha * cmath.exp(-1j * phi - 1j * wt)
+    c1 = fr.beta_prime + alpha * cmath.exp(1j * phi - 1j * t)
+    c2 = fr.beta_prime + alpha * cmath.exp(-1j * phi - 1j * t)
     raw = (
         cmath.exp(1j * fr.phi1) * coherent_state(c1, ncut).amplitudes
         + cmath.exp(1j * fr.phi2) * coherent_state(c2, ncut).amplitudes
@@ -137,19 +133,18 @@ def evolve_cat_leading(
 
 def evolve_fock_leading(params: ModelParams, k: int, t: float, ncut: int) -> FieldState:
     """Leading-order evolution of (|0> + |k>)/sqrt(2): a coherent
-    branch |beta'> plus a displaced number branch e^{-i k omega t}
+    branch |beta'> plus a displaced number branch e^{-i k t}
     |k, beta'>, with global phase xi; renormalized after truncation
     (the branches are exactly orthogonal for k != 0)."""
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
     fr = frame(params, 0.0, 0.0, t)
-    wt = params.omega * t
     zero_branch = coherent_state(fr.beta_prime, ncut).amplitudes
     if k == 0:
         raw = zero_branch
     else:
         k_branch = displaced_number_state(k, fr.beta_prime, ncut).amplitudes
-        raw = (zero_branch + cmath.exp(-1j * k * wt) * k_branch) / math.sqrt(2)
+        raw = (zero_branch + cmath.exp(-1j * k * t) * k_branch) / math.sqrt(2)
     amps = cmath.exp(1j * fr.xi) * raw / np.linalg.norm(raw)
     out = FieldState(amps)
     out.require_tail()

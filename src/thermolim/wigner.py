@@ -197,30 +197,28 @@ def wigner_numeric(state: FieldState, grid: WignerGrid) -> WignerGrid:
 def interference_phase_offset(params: ModelParams, alpha: float, phi: float,
                               t: float) -> float:
     """The spatially constant part of the interference-fringe phase:
-    alpha^2 sin 2phi + 4 alpha (N g / omega) sin phi (1 - cos omega t).
-    Grows linearly with N at fixed coupling ratio."""
-    wt = params.omega * t
+    alpha^2 sin 2phi + 4 alpha N g sin phi (1 - cos t), where g means g/omega
+    and t means omega t.  Grows linearly with N at fixed coupling."""
     return (alpha**2 * math.sin(2 * phi)
-            + 4.0 * alpha * (params.n_atoms * params.g / params.omega)
-            * math.sin(phi) * (1.0 - math.cos(wt)))
+            + 4.0 * alpha * (params.n_atoms * params.g)
+            * math.sin(phi) * (1.0 - math.cos(t)))
 
 
 def _fringe_factors(params: ModelParams, alpha: float, phi: float, t: float,
                     grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     """1-D complex factors of the interference term over the grid axes,
 
-        fx = exp[-(x-xb)^2 - i k cos(wt) x],  fp = exp[-(p-pb)^2 + i k sin(wt) p],
+        fx = exp[-(x-xb)^2 - i k cos(t) x],  fp = exp[-(p-pb)^2 + i k sin(t) p],
 
     with k = 2 sqrt2 a sin(phi) and (xb, pb) the branch midpoint, so that
     envelope * e^{i fringe phase} = fx[:, None] * fp[None, :]."""
     fr = frame(params, alpha, phi, t)
-    wt = params.omega * t
-    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
+    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
     xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
     k = 2.0 * math.sqrt(2) * alpha * math.sin(phi)
     x, p = grid.x_axis, grid.p_axis
-    fx = np.exp(-((x - xb) ** 2) - 1j * (k * math.cos(wt)) * x)
-    fp = np.exp(-((p - pb) ** 2) + 1j * (k * math.sin(wt)) * p)
+    fx = np.exp(-((x - xb) ** 2) - 1j * (k * math.cos(t)) * x)
+    fp = np.exp(-((p - pb) ** 2) + 1j * (k * math.sin(t)) * p)
     return fx, fp
 
 
@@ -235,9 +233,9 @@ def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
     without the cat normalization factor:
 
         (2/pi) exp[-(x-xb)^2 - (p-pb)^2]
-             * cos[2 sqrt2 a sin(phi) (p sin wt - x cos wt) + offset]
+             * cos[2 sqrt2 a sin(phi) (p sin t - x cos t) + offset]
 
-    centered on the branch midpoint m = beta' + a cos(phi) e^{-i w t}
+    centered on the branch midpoint m = beta' + a cos(phi) e^{-i t}
     (xb = sqrt2 Re m, pb = sqrt2 Im m), with ``offset`` from
     interference_phase_offset.  Evaluated as Re[c fx (x) fp] with
     c = (2/pi) e^{i offset} and the 1-D factors of :func:`_fringe_factors`."""
@@ -272,8 +270,7 @@ def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float) -> 
     """Sign changes of the central fringe cos(offset(t)) at 4096 midpoint
     samples over one field period; grows linearly with N at fixed
     coupling ratio."""
-    period, n = 2 * math.pi / params.omega, 4096
-    ts = (np.arange(n) + 0.5) * (period / n)
+    ts = (np.arange(4096) + 0.5) * (2 * math.pi / 4096)
     vals = np.cos([interference_phase_offset(params, alpha, phi, t) for t in ts])
     return int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
 
@@ -380,7 +377,8 @@ def save_wgrd(grid: WignerGrid, path) -> None:
 
 def load_wgrd(path) -> WignerGrid:
     """Read a WGRD block.  Version 1 blocks (tag 0: reserved bytes, no
-    float64 bounds) still load, with their float32 bounds."""
+    float64 bounds) still load, with their float32 bounds; trailing bytes
+    are rejected."""
     with open(path, "rb") as fh:
         header = fh.read(32)
         if len(header) != 32 or header[:4] != _WGRD_MAGIC:
@@ -396,6 +394,8 @@ def load_wgrd(path) -> WignerGrid:
         elif version != 0:
             raise ValidationError(f"{path}: unknown WGRD version tag {version}")
         data = np.frombuffer(fh.read(nx * npts * 8), dtype="<f8")
+        if fh.read(1):
+            raise ValidationError(f"{path}: bytes after the WGRD payload")
     if data.size != nx * npts:
         raise ValidationError(f"{path}: truncated WGRD payload")
     return WignerGrid(*bounds, nx, npts, data.reshape(nx, npts))
@@ -412,6 +412,7 @@ def save_csv(grid: WignerGrid, path) -> None:
 
 
 def load_csv(path) -> WignerGrid:
+    """Read a :func:`save_csv` file; rows off its x-major uniform grid are rejected."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValidationError(f"{path}: expected x,p,W columns")
@@ -420,6 +421,9 @@ def load_csv(path) -> WignerGrid:
     nx, npts = xs.size, ps.size
     if nx * npts != data.shape[0]:
         raise ValidationError(f"{path}: grid is not rectangular")
-    vals = data[:, 2].reshape(nx, npts)
-    return WignerGrid(float(xs[0]), float(xs[-1]), float(ps[0]), float(ps[-1]),
-                      nx, npts, vals)
+    grid = WignerGrid(float(xs[0]), float(xs[-1]), float(ps[0]), float(ps[-1]),
+                      nx, npts, data[:, 2].reshape(nx, npts))
+    if not (np.array_equal(data[:, 0], np.repeat(grid.x_axis, npts))
+            and np.array_equal(data[:, 1], np.tile(grid.p_axis, nx))):
+        raise ValidationError(f"{path}: x,p columns are not an x-major uniform grid")
+    return grid

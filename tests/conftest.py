@@ -126,19 +126,18 @@ def second_order_kernel(params, t_outer: float, t_inner: float,
 
     In the interaction picture of the sector propagators it is
     e^{i (Theta(t'') - Theta(t'))} e^{-i Im(a' conj(a''))} D[a'' - a'] psi0
-    with Theta(s) = 4 (N-1) (g/omega)^2 (omega s - sin omega s) and
-    a(s) = (2 g / omega)(1 - e^{i omega s}).  The displacement is
+    with Theta(s) = 4 (N-1) g^2 (s - sin s) and a(s) = 2 g (1 - e^{i s}),
+    in units of the mode frequency.  The displacement is
     :func:`displacement_expm` on a ladder of twice the length, sliced
     back, so the truncation edge stays far from the levels used.
     """
-    ratio = params.g / params.omega
+    g = params.g
 
     def theta(s):
-        ws = params.omega * s
-        return 4.0 * (params.n_atoms - 1) * ratio**2 * (ws - math.sin(ws))
+        return 4.0 * (params.n_atoms - 1) * g**2 * (s - math.sin(s))
 
     def center(s):
-        return 2.0 * ratio * (1.0 - cmath.exp(1j * params.omega * s))
+        return 2.0 * g * (1.0 - cmath.exp(1j * s))
 
     a_out, a_in = center(t_outer), center(t_inner)
     comp = cmath.exp(-1j * (a_out * a_in.conjugate()).imag)
@@ -175,8 +174,9 @@ def displacement_series_mp(n: int, k: int, alpha: complex, dps: int = 50):
         return acc * mp.e ** (-abs(a) ** 2 / 2)
 
 
-def product_space_hamiltonian(omega, delta, g, n_atoms, ncut) -> np.ndarray:
-    """Full (ncut+1) * 2^N Hamiltonian in the sigma-x product basis.
+def product_space_hamiltonian(delta, g, n_atoms, ncut) -> np.ndarray:
+    """Full (ncut+1) * 2^N Hamiltonian in the sigma-x product basis, in
+    units of the mode frequency.
 
     Site factor ordering: bit i of the spin index selects site i, bit
     value 1 = sigma-x eigenvalue -1.  Dense; referee for N <= 3.
@@ -193,7 +193,7 @@ def product_space_hamiltonian(omega, delta, g, n_atoms, ncut) -> np.ndarray:
     for s in range(dims):
         m = n_atoms - 2 * bin(s).count("1")  # sigma-x eigenvalue of this config
         blk = slice(s * dimf, (s + 1) * dimf)
-        H[blk, blk] += omega * nhat + g * m * xop
+        H[blk, blk] += nhat + g * m * xop
     # splitting: sigma_z flips each site between the two sigma-x states
     for i in range(n_atoms):
         flipped = idx ^ (1 << i)

@@ -57,7 +57,7 @@ def test_zero_detuning_closed_form_is_exact():
     worst = 1.0
     for n in [2, 4, 8]:
         for g in [0.1, 0.25]:
-            p = ModelParams(omega=1.0, delta=0.0, g=g, n_atoms=n)
+            p = ModelParams(delta=0.0, g=g, n_atoms=n)
             ncut = choose_cutoff(p, 2.0, 0)
             spec = build_hamiltonian(p, ncut)
             chi = chi_state(n)
@@ -137,7 +137,7 @@ def test_spin_moments_and_fluctuation_scaling():
 
 
 def test_cat_wigner_decomposition_matches_closed_fringe():
-    p = ModelParams(omega=1.0, delta=0.0, g=0.25, n_atoms=4)
+    p = ModelParams(delta=0.0, g=0.25, n_atoms=4)
     alpha, phi = 2.0, math.pi / 2
     ncut = choose_cutoff(p, alpha, 0)
     norm2 = cat_norm_closed(alpha, phi) ** 2
@@ -166,7 +166,7 @@ def test_fringe_washout_and_phase_linearity():
     sups = []
     speeds = []
     for n in sizes:
-        p = ModelParams(omega=1.0, delta=0.0, g=g, n_atoms=n)
+        p = ModelParams(delta=0.0, g=g, n_atoms=n)
         centers = []
         for t in np.linspace(0.0, 2 * math.pi, 65):
             fr = frame(p, alpha, phi, t)
@@ -210,7 +210,7 @@ def test_detuning_transfer_scaling_with_atom_number():
     amps = []
     first_n2 = None
     for n in sizes:
-        p = ModelParams(omega=1.0, delta=0.02, g=0.3, n_atoms=n)
+        p = ModelParams(delta=0.02, g=0.3, n_atoms=n)
         ncut = choose_cutoff(p, 0.0, 0)
         spec = build_hamiltonian(p, ncut)
         state = JointState.from_product(vacuum(ncut), chi_state(n), p)
@@ -239,7 +239,7 @@ def test_leading_order_error_scales_quadratically():
     deficits = []
     gains = []
     for delta in deltas:
-        p = ModelParams(omega=1.0, delta=delta, g=0.25, n_atoms=4)
+        p = ModelParams(delta=delta, g=0.25, n_atoms=4)
         ncut = choose_cutoff(p, alpha, 0)
         spec = build_hamiltonian(p, ncut)
         field0, _ = cat_state(alpha, phi, ncut)

@@ -33,8 +33,8 @@ from thermolim.propagator import evolve_fock_leading
 from thermolim.spins import chi_state
 
 
-def params_for(n_atoms, g, delta=0.0, omega=1.0):
-    return ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+def params_for(n_atoms, g, delta=0.0):
+    return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
 
 
 def vacuum(ncut):
@@ -44,9 +44,7 @@ def vacuum(ncut):
 
 
 def stationary_phase(params, tp):
-    wt = params.omega * tp
-    return 4.0 * (params.n_atoms - 1) * (params.g / params.omega) ** 2 \
-        * (wt - math.sin(wt))
+    return 4.0 * (params.n_atoms - 1) * params.g ** 2 * (tp - math.sin(tp))
 
 
 # ------------------------------------------------- scalar phase integral
@@ -76,15 +74,14 @@ class TestOscillatoryIntegral:
                                    (4000, 2 * math.pi, 2_000_001, 1e-10)]:
             p = params_for(n, 0.3)
             ts = np.linspace(0.0, t, points)
-            wt = p.omega * ts
-            th = 4.0 * (n - 1) * (p.g / p.omega) ** 2 * (wt - np.sin(wt))
+            th = 4.0 * (n - 1) * p.g ** 2 * (ts - np.sin(ts))
             ref = simpson(np.exp(1j * th), x=ts)
             got = oscillatory_integral(p, t)
             assert abs(got - ref) <= rtol * abs(ref)
 
     def test_large_n_airy_asymptote(self):
-        # Near each revival s_m = 2 pi m / omega the phase is
-        # 2 pi m c + a (s - s_m)^3 with a = c omega^3 / 6, and
+        # Near each revival s_m = 2 pi m the phase is
+        # 2 pi m c + a (s - s_m)^3 with a = c / 6, and
         # int e^{i a u^3} du is Gamma(1/3) e^{+-i pi/6} / (3 a^(1/3)) on each
         # half line.  Interior revivals take both halves; the two ends of
         # [0, t] take one each.
@@ -92,9 +89,9 @@ class TestOscillatoryIntegral:
             gaps = []
             for n, rtol in [(1000, 1e-2), (10_000, 2e-3)]:
                 p = params_for(n, 0.25)
-                c = 4.0 * (n - 1) * (p.g / p.omega) ** 2
-                half = math.gamma(1 / 3) / (3 * (c * p.omega**3 / 6) ** (1 / 3))
-                last = round(p.omega * t / (2 * math.pi))
+                c = 4.0 * (n - 1) * p.g ** 2
+                half = math.gamma(1 / 3) / (3 * (c / 6) ** (1 / 3))
+                last = round(t / (2 * math.pi))
                 terms = [half * (np.exp(1j * math.pi / 6) * (m < last)
                                  + np.exp(-1j * math.pi / 6) * (m > 0))
                          * np.exp(2j * math.pi * m * c) for m in range(last + 1)]
@@ -110,7 +107,7 @@ class TestOscillatoryIntegral:
             oscillatory_integral(params_for(8, 0.3), 3 * math.pi)
 
     def test_frozen_three_period_sweep(self):
-        # |integral| at t = 3 periods, g/omega = 0.3, computed once with an
+        # |integral| at t = 3 periods, g = 0.3, computed once with an
         # independent Simpson oracle and pinned here.
         expected = {2: 5.329669, 4: 4.237535, 8: 1.251360,
                     16: 1.417152, 32: 1.908867}
@@ -173,12 +170,12 @@ class TestFirstOrderCorrection:
         ts = np.linspace(0.0, t, 4001)
         rows = np.empty((ts.size, ncut + 1), dtype=complex)
         for i, tp in enumerate(ts):
-            al = (2.0 * p.g / p.omega) * (1.0 - np.exp(1j * p.omega * tp))
+            al = (2.0 * p.g) * (1.0 - np.exp(1j * tp))
             rows[i] = np.exp(1j * stationary_phase(p, tp)) \
                 * coherent_state(al, ncut).amplitudes
         inner = simpson(rows, x=ts, axis=0)
         pref = -1j * math.sqrt(2.0) * p.delta / 2.0
-        direct = pref * np.exp(-1j * p.omega * t * np.arange(ncut + 1)) * inner
+        direct = pref * np.exp(-1j * t * np.arange(ncut + 1)) * inner
         rec = first_order_correction(p, t, vacuum(ncut))
         assert np.max(np.abs(direct - rec.field_correction.amplitudes)) < 1e-10
 
@@ -195,19 +192,19 @@ class TestFirstOrderCorrection:
         ts = np.linspace(0.0, t, 1601)
         rows = np.empty((ts.size, ncut + 1), dtype=complex)
         for i, tp in enumerate(ts):
-            al = (2.0 * p.g / p.omega) * (1.0 - np.exp(1j * p.omega * tp))
+            al = (2.0 * p.g) * (1.0 - np.exp(1j * tp))
             rows[i] = np.exp(1j * stationary_phase(p, tp)) \
                 * (displacement_expm(ncut, al) @ amps)
         inner = simpson(rows, x=ts, axis=0)
 
         m = p.n_atoms - 2
-        scale = m * p.g / p.omega
-        xi = scale**2 * (p.omega * t - math.sin(p.omega * t))
-        beta = scale * (1.0 - np.exp(1j * p.omega * t))
+        scale = m * p.g
+        xi = scale**2 * (t - math.sin(t))
+        beta = scale * (1.0 - np.exp(1j * t))
         pref = -1j * math.sqrt(p.n_atoms) * p.delta / 2.0
         staged = displacement_expm(ncut, beta) @ (pref * inner)
         direct = np.exp(1j * xi) \
-            * np.exp(-1j * p.omega * t * np.arange(ncut + 1)) * staged
+            * np.exp(-1j * t * np.arange(ncut + 1)) * staged
 
         rec = first_order_correction(p, t, initial)
         assert np.max(np.abs(direct - rec.field_correction.amplitudes)) < 1e-8
@@ -291,19 +288,19 @@ class TestSecondOrderCorrection:
             wi = (a / 2.0) * w
             for b, wb in zip(ti, wi):
                 tri += wa * wb * second_order_kernel(p, a, b, v0.amplitudes)
-        scale = p.n_atoms * p.g / p.omega
-        xi = scale**2 * (p.omega * t - math.sin(p.omega * t))
-        beta = scale * (1.0 - np.exp(1j * p.omega * t))
+        scale = p.n_atoms * p.g
+        xi = scale**2 * (t - math.sin(t))
+        beta = scale * (1.0 - np.exp(1j * t))
         pref = -p.n_atoms * p.delta**2 / 4.0
         staged = displacement_expm(ncut, beta) @ (pref * tri)
         direct = np.exp(1j * xi) \
-            * np.exp(-1j * p.omega * t * np.arange(ncut + 1)) * staged
+            * np.exp(-1j * t * np.arange(ncut + 1)) * staged
         rec = second_order_correction(p, t, v0)
         dev = np.max(np.abs(direct - rec.field_correction.amplitudes))
         assert dev <= 1e-6 * max(rec.amplitude_norm, 1e-12)
 
     def test_frozen_amplitude_sweep(self):
-        # Half-period sweep, delta/omega = 0.02, g/omega = 0.3, vacuum input.
+        # Half-period sweep, delta = 0.02, g = 0.3, vacuum input.
         expected = {2: 8.400273e-4, 4: 1.153021e-3,
                     8: 1.116073e-3, 16: 1.357319e-3}
         for n, val in expected.items():

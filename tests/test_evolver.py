@@ -36,8 +36,8 @@ from thermolim.propagator import evolve_cat_leading
 from thermolim.spins import CollectiveState, chi_prime_state, chi_state
 
 
-def params_for(n_atoms, g, omega=1.0, delta=0.0):
-    return ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+def params_for(n_atoms, g, delta=0.0):
+    return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
 
 
 def cat_chi_initial(params, alpha, phi, ncut):
@@ -54,27 +54,30 @@ def energy(state, spec):
 
 class TestBuildHamiltonian:
     def test_single_atom_matches_product_transcription(self):
-        p = ModelParams(omega=1.3, delta=0.4, g=0.27, n_atoms=1)
+        # delta = 0.4 and g = 0.27 at omega = 1.3
+        p = ModelParams(delta=0.4 / 1.3, g=0.27 / 1.3, n_atoms=1)
         spec = build_hamiltonian(p, 12)
-        oracle = product_space_hamiltonian(1.3, 0.4, 0.27, 1, 12)
+        oracle = product_space_hamiltonian(0.4 / 1.3, 0.27 / 1.3, 1, 12)
         np.testing.assert_allclose(spec.matrix.toarray(), oracle.real, atol=1e-14)
 
     def test_free_spectrum_is_harmonic(self):
-        p = params_for(3, 0.0, omega=0.7, delta=0.0)
+        # levels 0.7 n at omega = 0.7 are n in units of omega
+        p = params_for(3, 0.0, delta=0.0)
         spec = build_hamiltonian(p, 10)
         evals = np.sort(np.linalg.eigvalsh(spec.matrix.toarray()))
-        want = np.sort(np.tile(0.7 * np.arange(11), 4))
+        want = np.sort(np.tile(np.arange(11), 4))
         np.testing.assert_allclose(evals, want, atol=1e-12)
 
     def test_ground_energy_matches_dense_oracle(self):
-        p = ModelParams(omega=1.0, delta=0.35, g=0.2, n_atoms=2)
+        p = ModelParams(delta=0.35, g=0.2, n_atoms=2)
         spec = build_hamiltonian(p, 30)
         mine = np.linalg.eigvalsh(spec.matrix.toarray())[0]
-        oracle = np.linalg.eigvalsh(product_space_hamiltonian(1.0, 0.35, 0.2, 2, 30))[0]
+        oracle = np.linalg.eigvalsh(product_space_hamiltonian(0.35, 0.2, 2, 30))[0]
         assert mine == pytest.approx(oracle.real, abs=1e-10)
 
     def test_exactly_symmetric(self):
-        spec = build_hamiltonian(ModelParams(omega=1.1, delta=0.3, g=0.21, n_atoms=5), 25)
+        # delta = 0.3 and g = 0.21 at omega = 1.1
+        spec = build_hamiltonian(ModelParams(delta=0.3 / 1.1, g=0.21 / 1.1, n_atoms=5), 25)
         assert (spec.matrix - spec.matrix.T).nnz == 0
 
     def test_block_diagonal_without_splitting(self):
@@ -153,12 +156,12 @@ class TestEvolveExact:
     def test_matches_product_space_referee(self):
         # N<=3: full 2^N-basis expm oracle, including the embedding map
         n, ncut, t = 3, 30, 1.1
-        p = ModelParams(omega=1.0, delta=0.4, g=0.3, n_atoms=n)
+        p = ModelParams(delta=0.4, g=0.3, n_atoms=n)
         spec = build_hamiltonian(p, ncut)
         st = cat_chi_initial(p, 0.8, 0.9, ncut)
         out = evolve_exact(st, t, spec)
         emb = symmetric_sector_embedding(n, ncut)
-        h_full = product_space_hamiltonian(1.0, 0.4, 0.3, n, ncut)
+        h_full = product_space_hamiltonian(0.4, 0.3, n, ncut)
         u = scipy.linalg.expm(-1j * t * h_full)
         oracle = u @ (emb @ st.vector())
         np.testing.assert_allclose(emb @ out.vector(), oracle, atol=1e-10)
@@ -170,23 +173,22 @@ class TestEvolveExact:
         # Delta = 0 with amplitude in sectors 0 and 2 only: the restricted
         # propagation must still match the 2^N oracle and leave 1 and 3 empty
         n, ncut, t = 3, 30, 1.1
-        p = ModelParams(omega=1.0, delta=0.0, g=0.3, n_atoms=n)
+        p = ModelParams(delta=0.0, g=0.3, n_atoms=n)
         spec = build_hamiltonian(p, ncut)
         spin = CollectiveState(np.array([0.6, 0.0, 0.8j, 0.0]))
         st = JointState.from_product(coherent_state(0.8 * np.exp(0.9j), ncut), spin, p)
         out = evolve_exact(st, t, spec)
         emb = symmetric_sector_embedding(n, ncut)
-        u = scipy.linalg.expm(-1j * t * product_space_hamiltonian(1.0, 0.0, 0.3, n, ncut))
+        u = scipy.linalg.expm(-1j * t * product_space_hamiltonian(0.0, 0.3, n, ncut))
         np.testing.assert_allclose(emb @ out.vector(), u @ (emb @ st.vector()), atol=1e-10)
         np.testing.assert_array_equal(out.amplitudes[:, [1, 3]], 0)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), n_atoms=st.integers(1, 4), omega=st.floats(1.0, 2.0),
-           g=st.floats(0.0, 0.2), alpha=st.complex_numbers(max_magnitude=1.0),
-           t=st.floats(0.0, 5.0))
+    @given(data=st.data(), n_atoms=st.integers(1, 4), g=st.floats(0.0, 0.2),
+           alpha=st.complex_numbers(max_magnitude=1.0), t=st.floats(0.0, 5.0))
     def test_split_off_matches_dense_expm_on_occupied_sectors(self, data, n_atoms,
-                                                             omega, g, alpha, t):
-        p = ModelParams(omega=omega, delta=0.0, g=g, n_atoms=n_atoms)
+                                                             g, alpha, t):
+        p = ModelParams(delta=0.0, g=g, n_atoms=n_atoms)
         ncut = choose_cutoff(p, abs(alpha), 0)
         assert ncut <= 40
         occupied = sorted(data.draw(st.sets(st.integers(0, n_atoms), min_size=1)))
@@ -204,7 +206,7 @@ class TestEvolveExact:
         np.testing.assert_array_equal(out.amplitudes[:, empty], 0)
 
     def test_energy_conserved(self):
-        p = ModelParams(omega=1.0, delta=0.3, g=0.25, n_atoms=4)
+        p = ModelParams(delta=0.3, g=0.25, n_atoms=4)
         ncut = choose_cutoff(p, 2.0, 0)
         spec = build_hamiltonian(p, ncut)
         st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
@@ -228,7 +230,7 @@ class TestEvolveExact:
         deltas = [0.0125, 0.025, 0.05]
         deficits = []
         for d in deltas:
-            p = ModelParams(omega=1.0, delta=d, g=0.25, n_atoms=4)
+            p = ModelParams(delta=d, g=0.25, n_atoms=4)
             spec = build_hamiltonian(p, ncut)
             st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
             out = evolve_exact(st, math.pi, spec)
@@ -238,12 +240,12 @@ class TestEvolveExact:
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_leading_order_error_is_small_but_not_monotone_in_n(self):
-        # the closed form stays within 1e-4 infidelity at Delta/omega=0.05
+        # the closed form stays within 1e-4 infidelity at Delta=0.05
         # out to N=16, but the error does NOT fall monotonically with N:
         # it grows from N=2 to N=8 before turning over
         infids = {}
         for n in (2, 8):
-            p = ModelParams(omega=1.0, delta=0.05, g=0.25, n_atoms=n)
+            p = ModelParams(delta=0.05, g=0.25, n_atoms=n)
             ncut = choose_cutoff(p, 2.0, 0)
             spec = build_hamiltonian(p, ncut)
             st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
@@ -262,7 +264,7 @@ class TestEvolveExact:
         def leaky(a, v):
             return (1.0 - 1e-6) * scipy.sparse.linalg.expm_multiply(a, v)
 
-        p = ModelParams(omega=1.0, delta=delta, g=0.3, n_atoms=4)
+        p = ModelParams(delta=delta, g=0.3, n_atoms=4)
         spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
         for engine, key, tol in [(phase_kicked_expm_multiply, "error_estimate", 1e-8),
@@ -273,7 +275,7 @@ class TestEvolveExact:
             assert err.value.diagnostics[key] > tol
 
     def test_state_driven_past_cutoff_raises(self):
-        # at t = pi sector 0 is displaced by 2 N g / omega = 3.2, to about
+        # at t = pi sector 0 is displaced by 2 N g = 3.2, to about
         # 18 photons: the top of a 20-level ladder
         p = params_for(4, 0.4)
         spec = build_hamiltonian(p, 20)
@@ -282,14 +284,12 @@ class TestEvolveExact:
             evolve_exact(st, math.pi, spec)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(n_atoms=st.integers(1, 4), omega=st.floats(1.0, 2.0),
-           delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),
+    @given(n_atoms=st.integers(1, 4), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),
            alpha=st.complex_numbers(max_magnitude=1.0),
            spin=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=5, max_size=5),
            t=st.floats(0.0, 5.0))
-    def test_norm_conserved_on_random_models(self, n_atoms, omega, delta, g,
-                                             alpha, spin, t):
-        p = ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+    def test_norm_conserved_on_random_models(self, n_atoms, delta, g, alpha, spin, t):
+        p = ModelParams(delta=delta, g=g, n_atoms=n_atoms)
         ncut = choose_cutoff(p, abs(alpha), 0)
         assert ncut <= 40
         amps = np.array(spin[: n_atoms + 1]) + 2 * np.eye(n_atoms + 1)[0]
@@ -299,13 +299,14 @@ class TestEvolveExact:
         assert abs(out.norm - 1.0) <= 1e-9
 
     def test_subnormal_coupling_is_free_rotation(self):
-        # g = 2.36e-160 leaves subnormal entries in H; scipy's one-norm
+        # g = 1.18e-160 leaves subnormal entries in H; scipy's one-norm
         # estimator warns on them, yet the checked result is the free
-        # rotation |alpha e^{-i omega t}> as at g = 0
-        p = ModelParams(omega=2.0, delta=0.0, g=2.36e-160, n_atoms=1)
+        # rotation |alpha e^{-i t}> as at g = 0 (g = 2.36e-160 and t = 3
+        # at omega = 2)
+        p = ModelParams(delta=0.0, g=1.18e-160, n_atoms=1)
         ncut = choose_cutoff(p, 1.0, 0)
         st0 = JointState.from_product(coherent_state(1.0, ncut), chi_state(1), p)
-        out = evolve_exact(st0, 3.0, build_hamiltonian(p, ncut))
+        out = evolve_exact(st0, 6.0, build_hamiltonian(p, ncut))
         want = coherent_state(np.exp(-6j), ncut)
         got = project_chi(out, chi_state(1))
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
@@ -343,7 +344,7 @@ class TestProjectChi:
         assert np.linalg.norm(proj.amplitudes) == 0.0
 
     def test_leakage_norm_is_sector_probability(self):
-        p = ModelParams(omega=1.0, delta=0.1, g=0.25, n_atoms=2)
+        p = ModelParams(delta=0.1, g=0.25, n_atoms=2)
         ncut = choose_cutoff(p, 1.0, 0)
         spec = build_hamiltonian(p, ncut)
         st = cat_chi_initial(p, 1.0, 0.4, ncut)

@@ -193,7 +193,7 @@ def test_coherent_vacuum():
 
 
 def test_coherent_mean_photon_number():
-    st = coherent_state(2.0, choose_cutoff(ModelParams(1, 0, 0, 1), 2.0, 0))
+    st = coherent_state(2.0, choose_cutoff(ModelParams(0, 0, 1), 2.0, 0))
     n = np.arange(st.ncut + 1)
     mean = float(np.sum(n * np.abs(st.amplitudes) ** 2))
     assert mean == pytest.approx(4.0, abs=1e-8)
@@ -268,7 +268,7 @@ def test_cat_phi_zero_collapses_to_coherent():
 
 
 def test_cat_orthogonal_branches():
-    _, norm = cat_state(4.0, math.pi / 2, choose_cutoff(ModelParams(1, 0, 0, 1), 4.0, 0))
+    _, norm = cat_state(4.0, math.pi / 2, choose_cutoff(ModelParams(0, 0, 1), 4.0, 0))
     assert norm**2 == pytest.approx(1.0 / (2 + 2 * math.exp(-32)), rel=1e-9)
 
 
@@ -284,16 +284,16 @@ def test_cat_norm_closed_form_cross_check():
 # ----------------------------------------------------------------- bounds
 
 def test_choose_cutoff_floor():
-    assert choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 0) == 16
+    assert choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 0) == 16
 
 
 def test_choose_cutoff_cat_case():
-    got = choose_cutoff(ModelParams(1.0, 0.0, 0.25, 8), 2.0, 0)
+    got = choose_cutoff(ModelParams(0.0, 0.25, 8), 2.0, 0)
     assert got >= 52
 
 
 def test_choose_cutoff_number_state_case():
-    got = choose_cutoff(ModelParams(1.0, 0.0, 0.0, 1), 0.0, 4)
+    got = choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 4)
     assert got >= 32
     assert got >= 4  # |4> representable
 
@@ -318,8 +318,22 @@ def test_field_state_immutability():
 
 def test_model_params_validation():
     with pytest.raises(DomainError):
-        ModelParams(0.0, 0.0, 0.1, 2)
+        ModelParams(-0.1, 0.1, 2)
     with pytest.raises(DomainError):
-        ModelParams(1.0, -0.1, 0.1, 2)
-    with pytest.raises(DomainError):
-        ModelParams(1.0, 0.0, 0.1, 0)
+        ModelParams(0.0, 0.1, 0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", math.nan), ("delta", math.inf), ("delta", None),
+    ("g", math.nan), ("g", math.inf), ("g", -1e-300), ("g", "0.1"),
+    ("n_atoms", math.nan), ("n_atoms", math.inf), ("n_atoms", None),
+    ("n_atoms", 2.5), ("n_atoms", "4"), ("n_atoms", 0.0)])
+def test_model_params_rejects_bad_value_as_domain_error(field, value):
+    kwargs = {"delta": 0.0, "g": 0.1, "n_atoms": 2, field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be"):
+        ModelParams(**kwargs)
+
+
+def test_model_params_accepts_integral_reals():
+    p = ModelParams(delta=np.float64(0.1), g=0, n_atoms=np.float64(3.0))
+    assert p.n_atoms == 3 and type(p.n_atoms) is int

@@ -1,6 +1,7 @@
 """Study driver: config parsing, validation, pipelines, sweeps, CLI."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -81,10 +82,6 @@ class TestParseConfig:
 
 
 class TestValidation:
-    def test_negative_omega_names_field(self):
-        with pytest.raises(ValidationError, match="omega"):
-            make_config(study="cat", omega=-1.0)
-
     def test_unknown_key_named(self):
         with pytest.raises(ValidationError, match="granularity"):
             make_config(study="cat", granularity=3)
@@ -139,7 +136,6 @@ class TestValidation:
         cfg = make_config(study="cat")
         res = cfg.resolved()
         assert res["out_dir"] == "runs/cat"
-        assert res["omega"] == 1.0
         assert res["sweep_axis"] is None
 
     def test_unknown_tolerance_rejected(self):
@@ -154,8 +150,8 @@ class TestValidation:
         assert cfg.seed == 9
         assert cfg.out_dir == "elsewhere"
 
-    @pytest.mark.parametrize("key", ["alpha", "phi", "t_max", "omega", "g",
-                                     "delta", "grid_spacing"])
+    @pytest.mark.parametrize("key", ["alpha", "phi", "t_max", "g", "delta",
+                                     "grid_spacing"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
     def test_non_finite_number_rejected(self, key, value):
         with pytest.raises(ValidationError, match=rf"^{key}: must be finite"):
@@ -523,14 +519,14 @@ class TestCli:
 
     def test_validation_error_names_field(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("omega = -1.0\n", encoding="utf-8")
+        cfg.write_text("g = -1.0\n", encoding="utf-8")
         result = CliRunner().invoke(cli_main, ["cat", "--config", str(cfg)])
         assert result.exit_code != 0
-        assert "omega" in result.output
+        assert "Error: g must be" in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("spin_source", '"explicit"'), ("sweep_limit", "64"), ("tol_tail", "1e-8"),
-        ("grid_nsigma", "6.0"), ("avg_samples", "64")])
+        ("grid_nsigma", "6.0"), ("avg_samples", "64"), ("omega", "1.0")])
     def test_removed_key_is_named(self, tmp_path, key, value):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
@@ -595,3 +591,39 @@ def test_readme_quick_start_prints_unit_fidelity(capsys):
                          readme.read_text(encoding="utf-8"), re.S)
     exec(compile(block, "README.md", "exec"), {})
     assert float(capsys.readouterr().out) == pytest.approx(1.0, rel=0, abs=1e-9)
+
+
+# ------------------------------------------------------------ benchmark pins
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    """Execute perfbench/<name>.py as a private module; nothing is written."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkPins:
+    """The benchmark wraps program functions by dotted name and runs
+    harness configs: a removed function stops a traced run, and a removed
+    config key stops every run of the workloads that set it."""
+
+    def test_traced_targets_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(_PERFBENCH))  # layers imports tracer
+        targets = _load_perfbench("layers").TARGETS
+        assert targets
+        for target in targets:
+            mod_name, _, func_name = target.rpartition(".")
+            func = getattr(importlib.import_module(mod_name), func_name, None)
+            assert callable(func), target
+
+    def test_workload_configs_validate(self):
+        inputs = _load_perfbench("inputs")
+        for workload in inputs.WORKLOADS:
+            for seed in range(10):
+                config, _ = inputs.draw(workload, seed)
+                ScenarioConfig.from_mapping(config)

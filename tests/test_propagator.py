@@ -26,8 +26,8 @@ from thermolim.propagator import (
 )
 
 
-def params_for(n_atoms, g, omega=1.0, delta=0.0):
-    return ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+def params_for(n_atoms, g, delta=0.0):
+    return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
 
 
 # ---------------------------------------------------------------- frames
@@ -41,21 +41,22 @@ class TestFrame:
         assert fr.phi1 == 0.0 and fr.phi2 == 0.0
 
     def test_half_period_displacement_is_maximal(self):
-        p = params_for(6, 0.2, omega=1.0)
+        p = params_for(6, 0.2)
         fr = frame(p, alpha=1.0, phi=0.0, t=math.pi)
         assert fr.beta == pytest.approx(2 * 6 * 0.2, abs=1e-12)
         assert abs(fr.beta.imag) < 1e-12
 
     def test_full_period_leaves_pure_phase(self):
-        # N=4, g/omega=0.25: (Ng/omega)^2 * 2*pi = 2*pi
-        p = params_for(4, 0.25, omega=1.0)
+        # N=4, g=0.25: (Ng)^2 * 2*pi = 2*pi
+        p = params_for(4, 0.25)
         fr = frame(p, alpha=1.5, phi=0.3, t=2 * math.pi)
         assert abs(fr.beta) < 1e-12
         assert fr.xi == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_branch_phases_match_half_difference_form(self):
-        p = params_for(5, 0.17, omega=1.3)
-        for t in [0.3, 1.1, 2.9, 7.0]:
+        # g = 0.17 and t = 0.3, 1.1, 2.9, 7.0 at omega = 1.3
+        p = params_for(5, 0.17 / 1.3)
+        for t in [1.3 * 0.3, 1.3 * 1.1, 1.3 * 2.9, 1.3 * 7.0]:
             fr = frame(p, alpha=2.2, phi=1.1, t=t)
             alt1 = -1j * 2.2 * (fr.beta * cmath.exp(-1j * 1.1)
                                 - fr.beta.conjugate() * cmath.exp(1j * 1.1)) / 2
@@ -70,7 +71,7 @@ class TestFrame:
             frame(params_for(2, 0.1), alpha=1.0, phi=0.0, t=-0.5)
 
     def test_branch_separation_scale_halves_with_doubled_n(self):
-        # alpha / |beta(pi)| = alpha*omega / (2 N g): slope -1 in N.
+        # alpha / |beta(pi)| = alpha / (2 N g): slope -1 in N.
         alpha, g = 2.0, 0.25
         ns = np.array([2, 4, 8, 16, 32])
         ratios = []
@@ -94,7 +95,7 @@ class TestSectorFrame:
         assert b_m == pytest.approx(-b_p, abs=1e-14)
 
     def test_quarter_period_example(self):
-        # m=2, g/omega=0.3, omega*t=pi/2: beta_m = 0.6*(1-i)
+        # m=2, g=0.3, t=pi/2: beta_m = 0.6*(1-i)
         xi, beta = sector_frame(2, params_for(4, 0.3), t=math.pi / 2)
         assert beta == pytest.approx(0.6 * (1 - 1j), abs=1e-12)
         assert xi == pytest.approx(0.36 * (math.pi / 2 - 1.0), rel=1e-12)
@@ -109,11 +110,12 @@ class TestSectorFrame:
 
 class TestApplyUfSector:
     def test_free_field_is_pure_rotation(self):
-        p = params_for(4, 0.0, omega=1.3)
+        # t = 0.9 at omega = 1.3
+        p = params_for(4, 0.0)
         psi = coherent_state(1.5 + 0.5j, 40)
-        out = apply_uf_sector(psi, 4, p, t=0.9)
+        out = apply_uf_sector(psi, 4, p, t=1.3 * 0.9)
         n = np.arange(41)
-        expect = np.exp(-1j * 1.3 * 0.9 * n) * psi.amplitudes
+        expect = np.exp(-1j * (1.3 * 0.9) * n) * psi.amplitudes
         np.testing.assert_allclose(out.amplitudes, expect, atol=1e-12)
 
     def test_full_period_revival_up_to_phase(self):

@@ -39,8 +39,8 @@ from thermolim.wigner import (
 )
 
 
-def params_for(n_atoms, g, omega=1.0, delta=0.0):
-    return ModelParams(omega=omega, delta=delta, g=g, n_atoms=n_atoms)
+def params_for(n_atoms, g, delta=0.0):
+    return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
 
 
 def bruteforce_wigner(amps, x, p, pad):
@@ -267,7 +267,7 @@ class TestWIntClosed:
             assert abs(diff) < 1e-8
 
     def test_fringe_speed_linear_in_n(self):
-        # d(offset)/dt at omega t = pi/2 equals 4 a (N g / w) w sin(phi);
+        # d(offset)/dt at t = pi/2 equals 4 a N g sin(phi);
         # recover it from fitted phases of rendered grids
         alpha, phi, h = 2.0, math.pi / 2, 1e-3
         t = math.pi / 2
@@ -472,6 +472,40 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError):
             load_wgrd(path)
+
+    def test_binary_trailing_bytes_rejected(self, tmp_path):
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        path = tmp_path / "w.wgrd"
+        save_wgrd(grid, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValidationError, match="w.wgrd: bytes after"):
+            load_wgrd(path)
+
+    def _csv_lines(self, tmp_path):
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        w = grid.with_values(np.arange(grid.nx * grid.np, dtype=float)
+                             .reshape(grid.nx, grid.np))
+        path = tmp_path / "w.csv"
+        save_csv(w, path)
+        load_csv(path)  # the unedited file loads
+        return path, path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def test_csv_swapped_rows_rejected(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        lines[1], lines[2] = lines[2], lines[1]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match="w.csv: x,p columns"):
+            load_csv(path)
+
+    def test_csv_off_grid_row_rejected(self, tmp_path):
+        # every row at x = -0.25 moved to x = -0.4: still rectangular, but
+        # off the uniform axis it would be relabelled onto
+        path, lines = self._csv_lines(tmp_path)
+        lines = [line.replace("-0.25,", "-0.40000000000000002,", 1)
+                 if line.startswith("-0.25,") else line for line in lines]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match="w.csv: x,p columns"):
+            load_csv(path)
 
     def test_csv_roundtrip_and_format(self, tmp_path):
         grid = default_grid([0.5j], spacing=0.25)
