@@ -17,12 +17,20 @@ upper-triangular matrix (C. Van Loan, IEEE TAC 23, 395, 1978):
     exp(-it [[H_{N-2}, V], [0, H_N]])                      first order,
     exp(-it [[H_N, V, 0], [0, H_{N-2}, V], [0, 0, H_N]])   second order,
 
-applied to (0, ..., 0, psi0).  The truncated H_m reflects amplitude at
-the top of its Fock ladder, so the blocks live on a ladder padded above
-the caller's cutoff and the result is sliced back.  The error estimate
-is the relative change between one whole step at pad P and two half
-steps at pad 2P.  Records that fail the 1e-8 bar come back flagged
-rather than raised, so parameter sweeps can keep partial results.
+applied to (0, ..., 0, psi0).  The trailing 2x2 block of the second
+matrix is the first, so its middle block is exactly the first order:
+one exponential of the second-order matrix, stepped over an evenly
+spaced grid by :func:`evolver.expm_checked`, gives both orders at every
+grid time (:func:`corrections_on_grid`).  The single-time entry points
+use the same core; the first order alone builds the smaller matrix.
+
+The truncated H_m reflects amplitude at the top of its Fock ladder, so
+the blocks live on a ladder padded above the caller's cutoff and the
+result is sliced back.  The error estimate, per grid point and order, is
+the relative change between the grid at pad P and the grid with twice
+the intervals at pad 2P.  Records that fail the 1e-8 bar come back
+flagged rather than raised, so parameter sweeps can keep partial
+results.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .fock import FieldState, ModelParams
 __all__ = [
     "CorrectionRecord",
     "oscillatory_integral",
+    "corrections_on_grid",
     "first_order_correction",
     "second_order_correction",
     "scaling_fit",
@@ -102,7 +111,8 @@ def _fock_pad(ncut: int) -> int:
 def _van_loan(params: ModelParams, order: int, initial: FieldState,
               ncut: int) -> tuple[sp.csr_matrix, np.ndarray]:
     """Block matrix and input vector of the order-``order`` correction on
-    Fock levels 0..ncut; the wanted block comes out first."""
+    Fock levels 0..ncut; block ``order - j`` comes out as the order-j
+    correction, so the highest order is block 0."""
     n = params.n_atoms
     dim = ncut + 1
     flip = (params.delta / 2.0) * math.sqrt(n) * sp.identity(dim, format="csr")
@@ -124,25 +134,50 @@ def _zero_record(ncut: int) -> CorrectionRecord:
                             converged=True)
 
 
-def _correction(order: int, params: ModelParams, t: float,
-                initial: FieldState) -> CorrectionRecord:
+def _corrections(order: int, params: ModelParams, t: float, steps: int,
+                 initial: FieldState) -> list[list[CorrectionRecord]]:
+    """Records of every order 1..``order`` at t_k = k t / steps,
+    k = 0..steps, from one checked exponential of the order-``order``
+    block matrix: entry [j - 1][k] is order j at t_k.  Block ``order - j``
+    of that matrix holds order j, since its trailing blocks are the
+    lower-order matrices."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     ncut = initial.ncut
     if params.delta == 0 or t == 0:
-        return _zero_record(ncut)
+        return [[_zero_record(ncut)] * (steps + 1) for _ in range(order)]
     pad = _fock_pad(ncut)
     fine = ncut + 2 * pad
+
+    def rows(top):  # levels 0..ncut of every correction block on a ladder to ``top``
+        return (top + 1) * np.arange(order)[:, None] + np.arange(ncut + 1)
+
     amps, err = expm_checked(t, _van_loan(params, order, initial, ncut + pad),
-                             _van_loan(params, order, initial, fine),
-                             keep=ncut + 1, unitary=fine + 1)
+                             _van_loan(params, order, initial, fine), steps=steps,
+                             keep=(rows(ncut + pad), rows(fine)), unitary=fine + 1)
     if not np.all(np.isfinite(amps)):
         raise QuadratureError(f"order-{order} correction produced non-finite values")
-    field = FieldState(amps, normalized=False).require_tail()
-    return CorrectionRecord(
-        amplitude_norm=float(np.linalg.norm(amps)), field_correction=field,
-        diagnostics={"nodes": EXPM_CALLS, "error_estimate": err},
-        converged=err <= _REL_TOL)
+
+    def record(block, k):
+        field = FieldState(amps[k, block], normalized=False).require_tail()
+        e = float(err[k, block])
+        return CorrectionRecord(
+            amplitude_norm=float(np.linalg.norm(amps[k, block])), field_correction=field,
+            diagnostics={"nodes": EXPM_CALLS, "error_estimate": e},
+            converged=e <= _REL_TOL)
+
+    return [[record(order - j, k) for k in range(steps + 1)]
+            for j in range(1, order + 1)]
+
+
+def corrections_on_grid(params: ModelParams, t: float, steps: int,
+                        initial_field: FieldState
+                        ) -> tuple[list[CorrectionRecord], list[CorrectionRecord]]:
+    """First- and second-order records at t_k = k t / steps, k = 0..steps,
+    both read off one order-2 block exponential stepped over the grid."""
+    if steps < 1:
+        raise DomainError(f"need steps >= 1, got {steps}")
+    return tuple(_corrections(2, params, t, steps, initial_field))
 
 
 def first_order_correction(params: ModelParams, t: float,
@@ -150,7 +185,7 @@ def first_order_correction(params: ModelParams, t: float,
     """Single-flip correction amplitude into the orthogonal collective
     sector: -i int_0^t U_{N-2}(t-s) V U_N(s) ds applied to the initial
     field."""
-    return _correction(1, params, t, initial_field)
+    return _corrections(1, params, t, 1, initial_field)[0][-1]
 
 
 def second_order_correction(params: ModelParams, t: float,
@@ -158,7 +193,7 @@ def second_order_correction(params: ModelParams, t: float,
     """Flip-and-return correction on the original collective sector:
     the time-ordered double integral over 0 <= r <= s <= t of
     -U_N(t-s) V U_{N-2}(s-r) V U_N(r) applied to the initial field."""
-    return _correction(2, params, t, initial_field)
+    return _corrections(2, params, t, 1, initial_field)[1][-1]
 
 
 def scaling_fit(points) -> dict:

@@ -23,16 +23,16 @@ from typing import Any, Callable
 import numpy as np
 
 from .dyson import (
+    corrections_on_grid,
     first_order_correction,
     oscillatory_integral,
     scaling_fit,
-    second_order_correction,
 )
-from .errors import DomainError, ThermolimError, ValidationError
+from .errors import ThermolimError, ValidationError
 from .evolver import (
     JointState,
     build_hamiltonian,
-    evolve_exact,
+    evolve_grid,
     fidelity,
     project_chi,
 )
@@ -200,10 +200,10 @@ class ScenarioConfig:
             check = _TYPE_CHECKS.get(f.type)
             if check is not None:
                 put(f.name, check(getattr(self, f.name), f.name))
-        try:
-            put("params", ModelParams(delta=self.delta, g=self.g, n_atoms=self.n_atoms))
-        except DomainError as exc:
-            raise ValidationError(str(exc)) from exc
+        _require(self.delta >= 0, "delta", f"must be >= 0, got {self.delta}")
+        _require(self.g >= 0, "g", f"must be >= 0, got {self.g}")
+        _require(self.n_atoms >= 1, "n_atoms", f"must be >= 1, got {self.n_atoms}")
+        put("params", ModelParams(delta=self.delta, g=self.g, n_atoms=self.n_atoms))
 
         _require(self.alpha >= 0, "alpha", f"must be >= 0, got {self.alpha}")
         _require(self.fock_k >= 0, "fock_k", f"must be >= 0, got {self.fock_k}")
@@ -404,16 +404,14 @@ def _leading_field(config: ScenarioConfig, kind: str, t: float,
 
 
 def _exact_trajectory(config: ScenarioConfig, kind: str, field0: FieldState):
-    """Exact evolution of field0 (x) chi stepped along the time grid: yields
-    ``(t, state, chi projection, closed leading-order field)`` per point."""
+    """Exact evolution of field0 (x) chi over the time grid, from one
+    checked grid call: yields ``(t, state, chi projection, closed
+    leading-order field)`` per point."""
     p = config.params
-    spec = build_hamiltonian(p, field0.ncut)
     chi = chi_state(p.n_atoms)
-    state = JointState.from_product(field0, chi, p)
-    dt = config.t_max / config.n_steps
-    for i, t in enumerate(_time_grid(config)):
-        if i:
-            state = evolve_exact(state, dt, spec)
+    states = evolve_grid(JointState.from_product(field0, chi, p), config.t_max,
+                         config.n_steps, build_hamiltonian(p, field0.ncut))
+    for t, state in zip(_time_grid(config), states):
         yield (t, state, project_chi(state, chi),
                _leading_field(config, kind, t, field0.ncut))
 
@@ -496,15 +494,14 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     initial = _initial_field(config, config.initial_state)
     flags = []
     rows = []
-    first_at_tmax = math.nan
-    for t in _time_grid(config):
-        rec = first_order_correction(p, t, initial)
+    firsts, seconds = corrections_on_grid(p, config.t_max, config.n_steps, initial)
+    for t, rec in zip(_time_grid(config), firsts):
         if not rec.converged:
             flags.append(f"first-order quadrature not converged at t={t:.17g}")
         rows.append((1, p.n_atoms, t, rec.amplitude_norm,
                      rec.diagnostics["error_estimate"]))
-        first_at_tmax = rec.amplitude_norm
-    second = second_order_correction(p, config.t_max, initial)
+    first_at_tmax = firsts[-1].amplitude_norm
+    second = seconds[-1]
     if not second.converged:
         flags.append(f"second-order quadrature not converged at t={config.t_max:.17g}")
     rows.append((2, p.n_atoms, config.t_max, second.amplitude_norm,

@@ -147,11 +147,24 @@ def second_order_kernel(params, t_outer: float, t_inner: float,
     return (phase * comp) * (disp @ amplitudes)
 
 
-def phase_kicked_expm_multiply(a, v):
-    """scipy's ``expm_multiply`` with a spurious phase e^{i 1e-6} on every
-    call: each application stays unitary, but one whole step and two half
-    steps then differ by about 1e-6."""
-    return np.exp(1e-6j) * expm_multiply(a, v)
+def _per_interval(factor, a, v, start, stop, num, endpoint):
+    """scipy's grid form of ``expm_multiply`` with ``factor ** k`` on grid
+    row k, so that a fault of one interval accumulates along the grid."""
+    rows = expm_multiply(a, v, start=start, stop=stop, num=num, endpoint=endpoint)
+    return factor ** np.arange(num)[:, None] * rows
+
+
+def phase_kicked_expm_multiply(a, v, start=None, stop=None, num=None, endpoint=None):
+    """A spurious phase e^{i 1e-6} per interval: grid row k gets
+    e^{i 1e-6 k}.  Each row stays unitary, but the coarse grid (row k)
+    and the fine grid with twice the intervals (row 2k) then differ by
+    about 1e-6 k."""
+    return _per_interval(np.exp(1e-6j), a, v, start, stop, num, endpoint)
+
+
+def leaky_expm_multiply(a, v, start=None, stop=None, num=None, endpoint=None):
+    """A norm leak of 1e-6 per interval: grid row k gets (1 - 1e-6)^k."""
+    return _per_interval(1.0 - 1e-6, a, v, start, stop, num, endpoint)
 
 
 def displacement_series_mp(n: int, k: int, alpha: complex, dps: int = 50):

@@ -9,17 +9,23 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import displacement_expm, phase_kicked_expm_multiply, second_order_kernel
+from conftest import (
+    displacement_expm,
+    leaky_expm_multiply,
+    phase_kicked_expm_multiply,
+    second_order_kernel,
+)
 import thermolim
 from thermolim import dyson, evolver
 from thermolim.dyson import (
     CorrectionRecord,
+    corrections_on_grid,
     first_order_correction,
     oscillatory_integral,
     scaling_fit,
     second_order_correction,
 )
-from thermolim.errors import DomainError, QuadratureError
+from thermolim.errors import DomainError, IntegrationError, QuadratureError
 from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
 from thermolim.fock import (
     FieldState,
@@ -231,6 +237,40 @@ class TestFirstOrderCorrection:
         assert rec.diagnostics["error_estimate"] <= 1e-8
 
 
+# ------------------------------------------------- both orders on a grid
+
+class TestCorrectionsOnGrid:
+    @pytest.mark.parametrize("n_atoms, kind", [(2, "vacuum"), (8, "vacuum"), (4, "cat")])
+    def test_matches_single_time_records(self, n_atoms, kind):
+        # both orders at every grid time come from one order-2 exponential;
+        # each must match the single-time entry point at that time
+        p = params_for(n_atoms, 0.3, delta=0.02)
+        if kind == "cat":
+            initial, _ = cat_state(1.5, 0.7, choose_cutoff(p, 1.5, 0))
+        else:
+            initial = vacuum(choose_cutoff(p, 0.0, 0))
+        steps, t_max = 4, math.pi
+        firsts, seconds = corrections_on_grid(p, t_max, steps, initial)
+        assert len(firsts) == len(seconds) == steps + 1
+        for k, t in enumerate(np.linspace(0.0, t_max, steps + 1)):
+            for grid_rec, correction in ((firsts[k], first_order_correction),
+                                         (seconds[k], second_order_correction)):
+                ref = correction(p, t, initial).field_correction.amplitudes
+                got = grid_rec.field_correction.amplitudes
+                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert grid_rec.amplitude_norm == pytest.approx(
+                    np.linalg.norm(ref), rel=1e-12, abs=0)
+                assert grid_rec.converged
+                assert grid_rec.diagnostics["error_estimate"] <= 1e-8
+
+    def test_zero_splitting_and_bad_grid(self):
+        p = params_for(2, 0.3)
+        firsts, seconds = corrections_on_grid(p, 1.0, 3, vacuum(30))
+        assert [r.amplitude_norm for r in firsts + seconds] == [0.0] * 8
+        with pytest.raises(DomainError, match="steps"):
+            corrections_on_grid(params_for(2, 0.3, delta=0.02), 1.0, 0, vacuum(30))
+
+
 # ------------------------------------------------- second-order return
 
 class TestSecondOrderCorrection:
@@ -359,6 +399,16 @@ class TestCorrectionChecks:
         assert run.convergence_flags == (
             "first-order quadrature not converged at t=1",
             "second-order quadrature not converged at t=1")
+
+    def test_engine_leak_raises(self, monkeypatch):
+        monkeypatch.setattr(evolver, "expm_multiply", leaky_expm_multiply)
+        p = params_for(2, 0.3, delta=0.02)
+        for correction in (first_order_correction, second_order_correction):
+            with pytest.raises(IntegrationError) as err:
+                correction(p, 1.0, vacuum(30))
+            assert err.value.diagnostics["drift"] > 1e-9
+        with pytest.raises(IntegrationError):
+            corrections_on_grid(p, 1.0, 3, vacuum(30))
 
 
 # ------------------------------------------------- consistency vs exact

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    leaky_expm_multiply,
     phase_kicked_expm_multiply,
     product_space_hamiltonian,
     symmetric_sector_embedding,
@@ -28,6 +28,7 @@ from thermolim.evolver import (
     JointState,
     build_hamiltonian,
     evolve_exact,
+    evolve_grid,
     fidelity,
     project_chi,
 )
@@ -256,19 +257,41 @@ class TestEvolveExact:
         assert all(v < 1e-4 for v in infids.values())
         assert infids[2] < infids[8]
 
+    @pytest.mark.parametrize("n_atoms, delta, steps", [(16, 0.0, 16), (2, 0.3, 200)])
+    def test_grid_matches_step_by_step_chain(self, n_atoms, delta, steps):
+        # One grid call against a chain of single checked steps, in both of
+        # scipy's grid regimes (Al-Mohy & Higham 2011, Alg. 5.2): the cat at
+        # N = 16 has fewer intervals than Taylor sub-steps and is stepped
+        # interval by interval on its occupied sector; N = 2 at Delta = 0.3
+        # has more, and reads several points off one Taylor expansion.
+        p = params_for(n_atoms, 0.25, delta=delta)
+        ncut = choose_cutoff(p, 2.0, 0)
+        spec = build_hamiltonian(p, ncut)
+        state = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
+        t = 2 * math.pi
+        grid = list(evolve_grid(state, t, steps, spec))
+        assert len(grid) == steps + 1 and grid[0] is state
+        for point in grid[1:]:
+            state = evolve_exact(state, t / steps, spec)
+            assert np.linalg.norm(point.amplitudes - state.amplitudes) <= 1e-12
+
+    def test_grid_rejects_empty_grid(self):
+        p = params_for(2, 0.2)
+        st = cat_chi_initial(p, 1.0, 0.5, 20)
+        with pytest.raises(DomainError, match="steps"):
+            next(evolve_grid(st, 1.0, 0, build_hamiltonian(p, 20)))
+
     @pytest.mark.parametrize("delta", [0.0, 0.4])
     def test_nonconvergence_raises_with_diagnostics(self, monkeypatch, delta):
-        # a phase kick per call breaks whole-vs-half-step agreement, a
-        # leak per call breaks the norm; both must raise with diagnostics,
-        # on the occupied-sector path (Delta = 0) as on the full one
-        def leaky(a, v):
-            return (1.0 - 1e-6) * scipy.sparse.linalg.expm_multiply(a, v)
-
+        # a phase kick per interval breaks coarse-vs-fine agreement, a
+        # leak per interval breaks the norm; both must raise with
+        # diagnostics, on the occupied-sector path (Delta = 0) as on the
+        # full one
         p = ModelParams(delta=delta, g=0.3, n_atoms=4)
         spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
         for engine, key, tol in [(phase_kicked_expm_multiply, "error_estimate", 1e-8),
-                                 (leaky, "drift", 1e-9)]:
+                                 (leaky_expm_multiply, "drift", 1e-9)]:
             monkeypatch.setattr(evolver, "expm_multiply", engine)
             with pytest.raises(IntegrationError) as err:
                 evolve_exact(st, 6.0, spec)

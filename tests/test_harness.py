@@ -95,6 +95,11 @@ class TestValidation:
             with pytest.raises(ValidationError, match="delta"):
                 make_config(study=study, delta=0.0)
 
+    @pytest.mark.parametrize("key, value", [("delta", -0.1), ("g", -1.0), ("n_atoms", 0)])
+    def test_model_param_range_names_key(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key}: must be >= "):
+            make_config(study="cat", **{key: value})
+
     def test_explicit_spin_needs_matching_arrays(self):
         with pytest.raises(ValidationError, match="spin_a"):
             make_config(study="spin-classical", n_atoms=2, spin_a=[[1.0, 0.0]],
@@ -522,7 +527,7 @@ class TestCli:
         cfg.write_text("g = -1.0\n", encoding="utf-8")
         result = CliRunner().invoke(cli_main, ["cat", "--config", str(cfg)])
         assert result.exit_code != 0
-        assert "Error: g must be" in result.output
+        assert "Error: g: must be >= 0" in result.output
 
     @pytest.mark.parametrize("key, value", [
         ("spin_source", '"explicit"'), ("sweep_limit", "64"), ("tol_tail", "1e-8"),
