@@ -27,7 +27,8 @@ class CapacityError(ThermolimError):
 
 
 class QuadratureError(ThermolimError):
-    """A time integral failed to converge to the requested tolerance."""
+    """A quadrature failed its check: a time integral did not converge
+    to the requested tolerance, or a Wigner lattice sum lost norm."""
 
 
 class IntegrationError(ThermolimError):

@@ -266,12 +266,28 @@ def choose_cutoff(params: ModelParams, alpha: float, k: int) -> int:
     produces from a cat (branch radius ``alpha``) or a number state
     ``k``, at any time.
 
-    The displacement excursion is bounded by 2 N g for all t.
-    Floor value 16 for the trivial vacuum case.
+    The displacement excursion is bounded by 2 N g for all t, so every
+    such state lies within radius s = 2 N g + alpha + sqrt(k).  The cutoff
+    starts at s^2 + 6.5 s + 16 (floor value 16 for the trivial vacuum
+    case) and grows until the band n > ncut - max(8, ncut/10) that
+    :meth:`FieldState.tail_mass` watches holds at most ``TAIL_TOL`` of
+    Poisson(s^2), the photon distribution of a coherent state of radius
+    s.  The band widens with the cutoff, so the start value alone stops
+    clearing it from s ~ 12 on; below that the start value is kept.
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
     s = 2.0 * params.n_atoms * params.g + alpha + math.sqrt(k)
-    return math.ceil(s * s + 6.5 * s + 16.0)
+    mean = s * s
+    ncut = math.ceil(mean + 6.5 * s + 16.0)
+    if mean > 0:
+        # above[j]: Poisson(s^2) mass on j..2 ncut; past 2 ncut it is nil
+        j = np.arange(2 * ncut + 1)
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+        pmf = np.exp(j * math.log(mean) - mean - log_fact)
+        above = np.cumsum(pmf[::-1])[::-1]
+        while above[math.floor(ncut - max(8.0, ncut / 10.0)) + 1] > TAIL_TOL:
+            ncut += 1
+    return ncut

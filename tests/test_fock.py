@@ -285,6 +285,8 @@ def test_cat_norm_closed_form_cross_check():
 
 def test_choose_cutoff_floor():
     assert choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 0) == 16
+    # s^2 underflows to 0 for couplings this small
+    assert choose_cutoff(ModelParams(0.0, 1e-160, 1), 0.0, 0) == 16
 
 
 def test_choose_cutoff_cat_case():
@@ -296,6 +298,19 @@ def test_choose_cutoff_number_state_case():
     got = choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 4)
     assert got >= 32
     assert got >= 4  # |4> representable
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n_atoms=st.integers(1, 256), g=st.floats(0.0, 0.5), alpha=st.floats(0.0, 4.0),
+       k=st.integers(0, 4))
+def test_cutoff_holds_the_states_it_is_sized_for(n_atoms, g, alpha, k):
+    # the sector propagator moves a branch of radius alpha or a number
+    # state k by at most 2 N g; both must pass the tail check on the ladder
+    p = ModelParams(0.0, g, n_atoms)
+    ncut = choose_cutoff(p, alpha, k)
+    reach = 2.0 * n_atoms * g + alpha
+    coherent_state(reach + math.sqrt(k), ncut)
+    displaced_number_state(k, reach, ncut)
 
 
 def test_field_state_tail_guard():

@@ -294,6 +294,15 @@ class TestFockStudy:
             t_max=math.pi, n_steps=4, out_dir=str(tmp_path)))
         assert rec.summary["min_fidelity"] >= 1.0 - 1e-10
 
+    def test_default_study_runs_past_twenty_atoms(self, tmp_path):
+        # the cutoff's tail band widens like ncut/10; at N = 24 the
+        # unwidened s^2 + 6.5 s + 16 = 238 left 2.1e-8 in it
+        rec = run_scenario(make_config(study="fock", n_atoms=24,
+                                       out_dir=str(tmp_path)))
+        assert rec.summary["ncut"] == 240
+        assert rec.summary["min_fidelity"] >= 1.0 - 1e-10
+        assert rec.summary["final_tail_mass"] <= 1e-8
+
 
 class TestWignerStudy:
     def test_artifacts_and_formats_agree(self, tmp_path):

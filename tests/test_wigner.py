@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import displacement_expm, w_int_meshgrid
-from thermolim.errors import CutoffError, DomainError, ValidationError
+from thermolim import wigner
+from thermolim.errors import CutoffError, DomainError, QuadratureError, ValidationError
 from thermolim.fock import (
     FieldState,
     ModelParams,
@@ -23,6 +24,7 @@ from thermolim.fock import (
 )
 from thermolim.propagator import frame
 from thermolim.wigner import (
+    MAX_SPACING,
     WignerGrid,
     count_time_zero_crossings,
     default_grid,
@@ -149,6 +151,84 @@ class TestWignerNumeric:
                 for j, p in enumerate(grid.p_axis):
                     brute = bruteforce_wigner(amps, x, p, pad)
                     assert w.values[i, j] == pytest.approx(brute, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_bruteforce_on_random_states_and_grids(self, data):
+        # spacings near MAX_SPACING refine the integration lattice below
+        # the grid step; grids off the origin need a lattice over both the
+        # grid's reach and the state's support
+        top = data.draw(st.integers(0, 32), label="top")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        amps = np.zeros(top + 11, complex)  # zero band above the support
+        amps[: top + 1] = rng.normal(size=top + 1) + 1j * rng.normal(size=top + 1)
+        if top >= 2 and data.draw(st.booleans(), label="gapped"):
+            lo = data.draw(st.integers(1, top - 1), label="gap_lo")
+            amps[lo:data.draw(st.integers(lo + 1, top), label="gap_hi")] = 0
+        amps /= np.linalg.norm(amps)
+        spacing = data.draw(st.floats(0.05, MAX_SPACING), label="spacing")
+        nx, npts = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+        x0, p0 = data.draw(st.floats(-4, 4)), data.draw(st.floats(-4, 4))
+        grid = WignerGrid(x0, x0 + (nx - 1) * spacing, p0, p0 + (npts - 1) * spacing,
+                          nx, npts, np.zeros((nx, npts)))
+        w = wigner_numeric(FieldState(amps), grid)
+        for i, x in enumerate(grid.x_axis):
+            for j, p in enumerate(grid.p_axis):
+                assert w.values[i, j] == pytest.approx(
+                    bruteforce_wigner(amps, x, p, pad=240), abs=1e-10)
+
+    def test_washout_grid_matches_bruteforce(self):
+        # the wigner study's t = 0 grid at N = 12, alpha = 2, phi = pi/2,
+        # spacing 0.05: 375 x 375 points, support dmax = 38 of ncut = 132
+        p, alpha, phi = params_for(12, 0.25), 2.0, math.pi / 2
+        centers = [frame(p, alpha, phi, t).beta_prime + alpha * np.exp(1j * (s * phi - t))
+                   for t in np.linspace(0.0, 2 * math.pi, 65) for s in (1, -1)]
+        grid = default_grid(centers, spacing=0.05)
+        assert (grid.nx, grid.np) == (375, 375)
+        psi, _ = cat_state(alpha, phi, choose_cutoff(p, alpha, 0))
+        w = wigner_numeric(psi, grid)
+        xs, ps = range(0, grid.nx, 68), range(17, grid.np, 68)
+        for i in xs:
+            for j in ps:
+                brute = bruteforce_wigner(psi.amplitudes, grid.x_axis[i],
+                                          grid.p_axis[j], pad=450)
+                assert w.values[i, j] == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("n, x0", [(0, -0.25), (3, 0.5), (100, 0.0), (700, 36.5)])
+    def test_number_state_matches_laguerre_closed_form(self, n, x0):
+        # W = (-1)^n e^(-r^2) L_n(2 r^2) / pi.  The vacuum pins the reach of
+        # the y-sum.  At spacing 0.25 an unrefined lattice would alias
+        # W(x, p -+ 4 pi), inside the support of |100>.  |700> reaches
+        # x ~ 37, where e^(-u^2/2) alone is subnormal, so the Hermite
+        # recurrence must carry its scale apart
+        import mpmath as mp
+
+        amps = np.zeros(n + 100, complex)
+        amps[n] = 1.0
+        grid = WignerGrid(x0, x0 + 0.5, -0.5, 0.0, 3, 3, np.zeros((3, 3)))
+        w = wigner_numeric(FieldState(amps), grid)
+        with mp.workdps(60):
+            for i, x in enumerate(grid.x_axis):
+                for j, p in enumerate(grid.p_axis):
+                    r2 = mp.mpf(x) ** 2 + mp.mpf(p) ** 2
+                    closed = (-1) ** n / mp.pi * mp.exp(-r2) * mp.laguerre(n, 0, 2 * r2)
+                    assert w.values[i, j] == pytest.approx(float(closed), abs=1e-12)
+
+    @pytest.mark.parametrize("fault", ["clipped", "scaled"])
+    def test_lattice_norm_drift_raises(self, monkeypatch, fault):
+        # a lattice that misses part of psi's support, and a wavefunction
+        # off by 1e-9 in norm, both fail the 1e-12 position-space norm check
+        real = wigner._hermite_series
+
+        def faulty(coeffs, u):
+            psi = real(coeffs, u)
+            if fault == "clipped":
+                return np.where(np.abs(u) < 4.0, psi, 0.0)
+            return psi * math.sqrt(1.0 + 1e-9)
+
+        monkeypatch.setattr(wigner, "_hermite_series", faulty)
+        with pytest.raises(QuadratureError, match=r"drift .* h = .*, R = "):
+            wigner_numeric(coherent_state(2.0, 40), default_grid([2.0]))
 
     def test_parity_bound_everywhere(self):
         rng = np.random.default_rng(11)
