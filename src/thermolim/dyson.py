@@ -1,50 +1,81 @@
 """Dyson-series correction terms for the splitting perturbation.
 
 Treating the Delta/2 sigma-z sum as the perturbation on top of the
-sector propagators, a single flip out of the extremal sector carries
-collective weight sqrt(N) and lands in the m = N-2 sector.  With
-V = (Delta/2) sqrt(N) and H_m the sector Hamiltonian (Delta and t mean
+sector propagators U_m (see :mod:`propagator`), a single flip out of the
+extremal sector carries collective weight sqrt(N) and lands in the
+m = N-2 sector.  With V = (Delta/2) sqrt(N) (Delta and t mean
 Delta/omega and omega t), the first-order correction (reaching the
-orthogonal collective state) and the second-order return amplitude
-(back on the original one) are
+orthogonal collective state) and the second-order return amplitude (back
+on the original one) are
 
-    -i   int_0^t U_{N-2}(t-s) V U_N(s) psi0 ds,
-    (-i)^2 int_0^t int_0^s U_N(t-s) V U_{N-2}(s-r) V U_N(r) psi0 dr ds.
+    c1(t) = -i int_0^t U_{N-2}(t-s) V U_N(s) psi0 ds,
+    c2(t) = -int_0^t int_0^s U_N(t-s) V U_{N-2}(s-r) V U_N(r) psi0 dr ds.
 
-Both are exactly the top-right block of one exponential of a block
-upper-triangular matrix (C. Van Loan, IEEE TAC 23, 395, 1978):
+Interaction frame.  The two sector propagators differ by a phase and a
+displacement,
 
-    exp(-it [[H_{N-2}, V], [0, H_N]])                      first order,
-    exp(-it [[H_N, V, 0], [0, H_{N-2}, V], [0, 0, H_N]])   second order,
+    U_{N-2}(s)^dag U_N(s) = e^{i Theta(s)} D[b(s)],
+    Theta(s) = c (s - sin s),  c = 4 (N-1) g^2,  b(s) = 2g (1 - e^{is}),
 
-applied to (0, ..., 0, psi0).  The trailing 2x2 block of the second
-matrix is the first, so its middle block is exactly the first order:
-one exponential of the second-order matrix, stepped over an evenly
-spaced grid by :func:`evolver.expm_checked`, gives both orders at every
-grid time (:func:`corrections_on_grid`).  The single-time entry points
-use the same core; the first order alone builds the smaller matrix.
+so with F(t) = int_0^t e^{i Theta} D[b] psi0 ds
 
-The truncated H_m reflects amplitude at the top of its Fock ladder, so
-the blocks live on a ladder padded above the caller's cutoff and the
-result is sliced back.  The error estimate, per grid point and order, is
-the relative change between the grid at pad P and the grid with twice
-the intervals at pad 2P.  Records that fail the 1e-8 bar come back
-flagged rather than raised, so parameter sweeps can keep partial
-results.
+    c1(t) = -i V U_{N-2}(t) F(t),
+    c2(t) = -V^2 U_N(t) int_0^t e^{-i Theta(s)} D[b(s)]^dag F(s) ds.
+
+|b| <= 4g, so F and the second-order integrand live on the support of
+psi0 plus the levels a displacement of 4g reaches from it, whatever N
+is: N enters only through c.  The ladder is that support (the last level
+whose suffix norm is >= 1e-16) plus that reach, and U_m(t) maps the
+result back to the caller's cutoff with one (ncut+1) x L block of
+displacement elements per grid time.
+
+Factorised displacement.  D[b(s)] = e^{-i 4g^2 sin s} D[2g] e^{isn}
+D[-2g] e^{-isn}, and D[-2g] = D[2g]^T is real, so at the M nodes
+s_j = 2 pi j / M every application is a real GEMM with the one matrix
+D[2g] plus diagonal phases (the first one an FFT over the levels).
+
+Fourier sums.  G(s) = e^{-ic sin s} D[b(s)] psi0 is 2 pi-periodic; its
+M-point FFT gives coefficients a_l, and F(t) = sum_l a_l E(c + l, t)
+with E(w, t) = int_0^t e^{iws} ds = t e^{iwt/2} sinc(wt / 2 pi), exact
+for any t.  Writing F(s) = sum_l a_l (e^{i(c+l)s} - 1) / (i(c+l)), the
+second-order integrand is a periodic part plus e^{-ics} times a
+periodic part; two more FFTs make it E sums at l and at l - c.  Every
+grid time is one more row of E.
+
+Resonance.  The split never divides by |c + l| < 1/2: at most one l
+comes that close, and c at or near an integer (N = 1; N = 2 with
+g = 1/2; N = 5 with g = 1/4) puts it at or near zero.  That term is kept
+out of the split and integrated in closed form,
+
+    int_0^t e^{i mu s} int_0^s e^{iwr} dr ds = t^2 exp[0, i mu t, i(mu+w) t],
+
+a second divided difference of exp that stays finite as w -> 0.
+
+Checks.  Both orders come from a coarse pass (M nodes, L levels) and a
+fine pass (2M nodes, L + pad levels); the fine pass is returned and its
+relative change from the coarse one, per grid time and order, is the
+error estimate.  Records above the 1e-8 bar come back flagged rather
+than raised, so parameter sweeps keep partial results.  Non-finite
+output, or a Fourier coefficient at the window edge l = M/2 above
+1e-14 of the largest, raises ``QuadratureError``: that edge is FFT
+rounding when the window is wide enough (1.4e-16 of the largest at
+N = 16, g = 0.3), so a 1e-16 bar would trip on rounding alone.  The fine pass
+must keep its small-ladder tail below the cutoff budget, and the
+lab-frame field its own, else ``CutoffError``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import jv
 
 from .errors import DomainError, QuadratureError
-from .evolver import EXPM_CALLS, expm_checked, sector_hamiltonian
-from .fock import FieldState, ModelParams
+from .fock import TAIL_TOL, FieldState, ModelParams, _displacement_elements
+from .propagator import sector_frame
 
 __all__ = [
     "CorrectionRecord",
@@ -56,6 +87,10 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-8
+_SUPPORT_TOL = 1e-16  # suffix norm that ends the support of psi0
+_REACH_TOL = 1e-16    # amplitude a displacement may leave above the ladder
+_EDGE_TOL = 1e-14     # window-edge Fourier coefficient, relative to the largest
+_BLOCK = 16           # Fock levels per streamed GEMM and FFT
 
 
 @dataclass(frozen=True)
@@ -90,9 +125,7 @@ def oscillatory_integral(params: ModelParams, t: float) -> complex:
     m = math.ceil(c + 30 + 10 * c ** (1 / 3))
     n = np.arange(-m, m + 1)
     bessel = jv(n, c)
-    theta = (c - n) * t
-    result = complex(t * np.sum(bessel * np.exp(0.5j * theta)
-                                * np.sinc(theta / (2 * math.pi))))
+    result = complex(np.sum(bessel * _exp_integral(c - n, t)))
     edge = max(abs(bessel[0]), abs(bessel[-1]))
     if not (np.isfinite(result) and edge <= 1e-16):
         raise QuadratureError(
@@ -101,30 +134,171 @@ def oscillatory_integral(params: ModelParams, t: float) -> complex:
     return result
 
 
-def _fock_pad(ncut: int) -> int:
-    """Levels added above ``ncut`` for the block exponential: two widths
-    of the band the tail check watches, so that amplitude reflected at
-    the top of the padded ladder stays out of the levels read back."""
-    return 2 * max(8, ncut // 10)
+def _reach(alpha: float, k: int) -> int:
+    """Levels above |k> that D[alpha]|k> reaches: the first j at which the
+    leading term |alpha|^j sqrt((k+j)!/k!) / j! of <k+j|D|k> falls below
+    1e-16."""
+    if alpha == 0:
+        return 0
+    j, floor = 1, math.log(_REACH_TOL)
+    while (j * math.log(alpha) + 0.5 * (math.lgamma(k + j + 1) - math.lgamma(k + 1))
+           - math.lgamma(j + 1)) >= floor:
+        j += 1
+    return j
 
 
-def _van_loan(params: ModelParams, order: int, initial: FieldState,
-              ncut: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Block matrix and input vector of the order-``order`` correction on
-    Fock levels 0..ncut; block ``order - j`` comes out as the order-j
-    correction, so the highest order is block 0."""
-    n = params.n_atoms
-    dim = ncut + 1
-    flip = (params.delta / 2.0) * math.sqrt(n) * sp.identity(dim, format="csr")
-    blocks = [[None] * (order + 1) for _ in range(order + 1)]
-    for k in range(order + 1):
-        # sectors alternate and end on the extremal one: N-2, N or N, N-2, N
-        blocks[k][k] = sector_hamiltonian(params, n - 2 * ((order - k) % 2), ncut)
-        if k:
-            blocks[k - 1][k] = flip
-    vec = np.zeros((order + 1) * dim, dtype=complex)
-    vec[order * dim: order * dim + initial.ncut + 1] = initial.amplitudes
-    return sp.bmat(blocks, format="csr"), vec
+def _support(amps: np.ndarray) -> int:
+    """Last level whose suffix norm is at least 1e-16 (0 if none is)."""
+    suffix = np.sqrt(np.cumsum(np.abs(amps[::-1]) ** 2))[::-1]
+    above = np.flatnonzero(suffix >= _SUPPORT_TOL)
+    return int(above[-1]) if above.size else 0
+
+
+def _nodes(params: ModelParams, support: int, levels: int) -> int:
+    """FFT nodes per period of the coarse pass: a power of two covering
+    twice the band of G, the Bessel band of e^{-i(c + 4g^2) sin s} plus
+    the frequencies the displacement D[2g e^{is}] adds, and at least
+    ``levels``."""
+    cp = 4.0 * params.n_atoms * params.g ** 2
+    n = np.arange(math.ceil(cp), math.ceil(cp + 30 + 10 * cp ** (1 / 3)) + 1)
+    bessel = n[np.flatnonzero(np.abs(jv(n, cp)) <= _REACH_TOL)[0]]
+    band = int(bessel) + _reach(2.0 * params.g, support)
+    return 1 << (max(2 * band, levels) - 1).bit_length()
+
+
+def _exp_integral(w, t):
+    """E(w, t) = int_0^t e^{iws} ds = t e^{iwt/2} sinc(wt / 2 pi), broadcast
+    over w and t; exact at w = 0 and at t = 0."""
+    wt = w * t
+    return t * np.exp(0.5j * wt) * np.sinc(wt / (2 * math.pi))
+
+
+def _exp_divided_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp[0, ix, iy] for real x and y: the Taylor series sum_k h_k/(k+2)!
+    of the complete homogeneous polynomials h_k(ix, iy) when the three
+    nodes lie within 1 of each other, else the difference quotient whose
+    divisor is the widest gap between them."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+
+    gaps = np.stack([np.abs(x - y), np.abs(y), np.abs(x)])
+    widest = np.argmax(gaps, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.choose(widest, [
+            (_exp_integral(y, 1.0) - _exp_integral(x, 1.0)) / (1j * (y - x)),
+            (np.exp(1j * x) * _exp_integral(y - x, 1.0) - _exp_integral(x, 1.0)) / (1j * y),
+            (np.exp(1j * y) * _exp_integral(x - y, 1.0) - _exp_integral(y, 1.0)) / (1j * x)])
+    a, b = 1j * x, 1j * y
+    h, power, series, fact = np.ones_like(a), np.ones_like(a), 0.5 * np.ones_like(a), 2.0
+    for k in range(1, 22):  # terms below (k+1)/(k+2)! < 1e-20 at the cut
+        power = power * b
+        h = power + a * h
+        fact *= k + 2
+        series = series + h / fact
+    return np.where(gaps.max(axis=0) <= 1.0, series, quotient)
+
+
+def _interaction_pass(params: ModelParams, psi: np.ndarray, nodes: int,
+                      times: np.ndarray, order: int) -> list[np.ndarray]:
+    """F(t_k) and, for ``order`` 2, the second-order integral I(t_k) on the
+    ladder of ``psi`` (levels 0..psi.size-1), from ``nodes`` FFT nodes per
+    period; each is an array with one row per grid time."""
+    g, m, levels = params.g, nodes, psi.size
+    c = 4.0 * (params.n_atoms - 1) * g * g
+    freq = np.fft.fftfreq(m, 1.0 / m)
+    s = 2 * math.pi * np.arange(m) / m
+    roots, jj = np.exp(1j * s), np.arange(m)
+    chirp = np.exp(-1j * (c + 4 * g * g) * np.sin(s))  # e^{-i(c + 4g^2) sin s}
+    idx = np.arange(levels)
+    blocks = [slice(lo, min(lo + _BLOCK, levels)) for lo in range(0, levels, _BLOCK)]
+    disp = np.empty((levels, levels))  # D[2g], real; D[-2g] is its transpose
+    for rows in blocks:
+        disp[rows] = _displacement_elements(idx[rows, None], idx, 2.0 * g).real
+    edges = {}  # per order: largest window-edge and largest coefficient
+
+    def rotate(x, sign, rows):  # row n of x times e^{sign i n s_j}
+        for r, n in enumerate(range(rows.start, rows.stop)):
+            x[r] *= roots[(sign * n * jj) % m]
+
+    def coefficients(x, phase, j):  # Fourier coefficients of x * phase, order j
+        x *= phase
+        a = np.fft.fft(x, axis=1, norm="forward")
+        seen = edges.setdefault(j, [0.0, 0.0])
+        seen[0] = max(seen[0], np.abs(a[:, m // 2]).max())
+        seen[1] = max(seen[1], np.abs(a).max())
+        return a
+
+    # D[-2g] e^{-isn} psi at every node is one FFT over n, then e^{isn}
+    y = np.empty((levels, m), complex)
+    for rows in blocks:
+        y[rows] = np.fft.fft(disp[:, rows].T * psi, n=m, axis=1)
+    rotate(y, 1, slice(0, levels))
+    yv = y.view(np.float64)
+    tcol = times[:, None]
+    first = np.empty((times.size, levels), complex)
+    kernel = _exp_integral(c + freq, tcol)
+    if order == 2:
+        resonant = np.abs(c + freq) < 0.5
+        split = np.divide(1.0, 1j * (c + freq), out=np.zeros(m, complex),
+                          where=~resonant)
+        pv = np.empty((levels, m), complex)  # P(s_j)
+        p0, r = np.empty(levels, complex), np.empty(levels, complex)
+    for rows in blocks:
+        a = coefficients((disp[rows] @ yv).view(np.complex128), chirp, 1)
+        first[:, rows] = kernel @ a.T
+        if order == 2:
+            p0[rows] = a @ split
+            r[rows] = a[:, resonant].sum(axis=1)
+            pv[rows] = np.fft.ifft(a * split, axis=1, norm="forward")
+    del y, yv
+    out = [first]
+    if order == 2:
+        # periodic part: e^{ic' sin s} e^{isn} D[2g] e^{-isn} D[-2g] P(s)
+        w = np.empty((levels, 2 * m))
+        for rows in blocks:
+            w[rows] = disp[:, rows].T @ pv.view(np.float64)
+        del pv
+        rotate(w.view(np.complex128), -1, slice(0, levels))
+        second = np.zeros_like(first)
+        kernel = _exp_integral(freq, tcol)
+        for rows in blocks:
+            h = (disp[rows] @ w).view(np.complex128)
+            rotate(h, 1, rows)
+            second[:, rows] = kernel @ coefficients(h, chirp.conj(), 2).T
+        del w
+        # e^{-ics} times the same map of the constants p0 and r
+        kernels = [-_exp_integral(freq - c, tcol)]
+        vectors = [p0]
+        if resonant.any():
+            mu = freq - c
+            wres = c + freq[resonant][0]
+            kernels.append(tcol ** 2 * _exp_divided_difference(tcol * mu,
+                                                               tcol * (mu + wres)))
+            vectors.append(r)
+        for vec, kern in zip((disp.T @ np.stack(vectors, axis=1)).T, kernels):
+            for rows in blocks:
+                h = np.fft.fft(disp[rows] * vec, n=m, axis=1)
+                rotate(h, 1, rows)
+                second[:, rows] += kern @ coefficients(h, chirp.conj(), 2).T
+        out.append(second)
+    edge = max((e / p for e, p in edges.values() if p > 0), default=0.0)
+    if not edge <= _EDGE_TOL:
+        raise QuadratureError(
+            f"Fourier window of {m} nodes too short: edge coefficient "
+            f"{edge:.3e} of the largest, above {_EDGE_TOL:.0e}")
+    return out
+
+
+def _lab_frame(x: np.ndarray, m: int, params: ModelParams, t: float,
+               ncut: int) -> np.ndarray:
+    """U_m(t) x on levels 0..ncut: e^{i xi_m} e^{-itn} D[beta_m] x."""
+    xi, beta = sector_frame(m, params, t)
+    n, k = np.arange(ncut + 1), np.arange(x.size)
+    out = np.empty(ncut + 1, complex)
+    step = max(_BLOCK, 4096 // x.size)  # ~4096 elements a block bound the temporaries
+    for lo in range(0, ncut + 1, step):
+        rows = n[lo: lo + step]
+        out[rows] = _displacement_elements(rows[:, None], k, beta) @ x
+    return cmath.exp(1j * xi) * np.exp(-1j * t * n) * out
 
 
 def _zero_record(ncut: int) -> CorrectionRecord:
@@ -137,44 +311,50 @@ def _zero_record(ncut: int) -> CorrectionRecord:
 def _corrections(order: int, params: ModelParams, t: float, steps: int,
                  initial: FieldState) -> list[list[CorrectionRecord]]:
     """Records of every order 1..``order`` at t_k = k t / steps,
-    k = 0..steps, from one checked exponential of the order-``order``
-    block matrix: entry [j - 1][k] is order j at t_k.  Block ``order - j``
-    of that matrix holds order j, since its trailing blocks are the
-    lower-order matrices."""
+    k = 0..steps: entry [j - 1][k] is order j at t_k."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     ncut = initial.ncut
     if params.delta == 0 or t == 0:
         return [[_zero_record(ncut)] * (steps + 1) for _ in range(order)]
-    pad = _fock_pad(ncut)
-    fine = ncut + 2 * pad
-
-    def rows(top):  # levels 0..ncut of every correction block on a ladder to ``top``
-        return (top + 1) * np.arange(order)[:, None] + np.arange(ncut + 1)
-
-    amps, err = expm_checked(t, _van_loan(params, order, initial, ncut + pad),
-                             _van_loan(params, order, initial, fine), steps=steps,
-                             keep=(rows(ncut + pad), rows(fine)), unitary=fine + 1)
-    if not np.all(np.isfinite(amps)):
-        raise QuadratureError(f"order-{order} correction produced non-finite values")
-
-    def record(block, k):
-        field = FieldState(amps[k, block], normalized=False).require_tail()
-        e = float(err[k, block])
-        return CorrectionRecord(
-            amplitude_norm=float(np.linalg.norm(amps[k, block])), field_correction=field,
-            diagnostics={"nodes": EXPM_CALLS, "error_estimate": e},
-            converged=e <= _REL_TOL)
-
-    return [[record(order - j, k) for k in range(steps + 1)]
-            for j in range(1, order + 1)]
+    support = _support(initial.amplitudes)
+    levels = support + 1 + _reach(4.0 * params.g, support)
+    pad = max(8, levels // 4)
+    nodes = _nodes(params, support, levels + pad)
+    times = np.linspace(0.0, t, steps + 1)
+    psi = np.zeros(levels + pad, complex)
+    psi[: support + 1] = initial.amplitudes[: support + 1]
+    coarse = _interaction_pass(params, psi[:levels], nodes, times, order)
+    fine = _interaction_pass(params, psi, 2 * nodes, times, order)
+    v = (params.delta / 2.0) * math.sqrt(params.n_atoms)
+    records = []
+    for j, (lo, hi) in enumerate(zip(coarse, fine), start=1):
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise QuadratureError(f"order-{j} correction produced non-finite values")
+        size = np.linalg.norm(hi, axis=1)
+        change = np.linalg.norm(hi - np.pad(lo, ((0, 0), (0, pad))), axis=1)
+        err = change / np.maximum(size, 1e-300)
+        for row, norm in zip(hi, size):
+            FieldState(row, normalized=False).require_tail(TAIL_TOL * norm ** 2)
+        sector, scale = (params.n_atoms - 2, -1j * v) if j == 1 else (params.n_atoms, -v * v)
+        row_records = []
+        for k, tk in enumerate(times):
+            amps = scale * _lab_frame(hi[k], sector, params, tk, ncut)
+            field = FieldState(amps, normalized=False).require_tail()
+            e = float(err[k])
+            row_records.append(CorrectionRecord(
+                amplitude_norm=float(np.linalg.norm(amps)), field_correction=field,
+                diagnostics={"nodes": 2 * nodes, "error_estimate": e},
+                converged=e <= _REL_TOL))
+        records.append(row_records)
+    return records
 
 
 def corrections_on_grid(params: ModelParams, t: float, steps: int,
                         initial_field: FieldState
                         ) -> tuple[list[CorrectionRecord], list[CorrectionRecord]]:
     """First- and second-order records at t_k = k t / steps, k = 0..steps,
-    both read off one order-2 block exponential stepped over the grid."""
+    both read off one coarse and one fine pass of Fourier sums."""
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
     return tuple(_corrections(2, params, t, steps, initial_field))

@@ -27,8 +27,9 @@ class CapacityError(ThermolimError):
 
 
 class QuadratureError(ThermolimError):
-    """A quadrature failed its check: a time integral did not converge
-    to the requested tolerance, or a Wigner lattice sum lost norm."""
+    """A quadrature failed its check: a time integral came out non-finite
+    or its Fourier or Bessel window was too short, or a Wigner lattice
+    sum lost norm."""
 
 
 class IntegrationError(ThermolimError):

@@ -14,24 +14,24 @@ With the splitting off the sectors do not couple, so
 :func:`evolve_exact` propagates only the occupied sectors; the empty
 ones stay exactly empty.
 
-Every exponential e^{-iHt} in the package, here and in the Dyson
-terms, goes through :func:`expm_checked`, which propagates over a whole
-evenly spaced grid t_k = k t / n in two calls of scipy's truncated-Taylor
-``expm_multiply``: once over n intervals and once over 2n, of which every
-second point is kept (n = 1 is one whole step against two half steps).
-At every grid point the two must agree to 1e-8 and the norm must hold
-to 1e-9, or the run fails loudly.  :func:`evolve_grid` yields a whole
-trajectory from one such call; :func:`evolve_exact` is its one-interval
-case.
+Every exponential e^{-iHt} in the package goes through
+:func:`expm_checked`, which propagates over a whole evenly spaced grid
+t_k = k t / n in two calls of scipy's truncated-Taylor ``expm_multiply``:
+once over n intervals and once over 2n, of which every second point is
+kept (n = 1 is one whole step against two half steps).  At every grid
+point the two must agree to 1e-8 and the norm must hold to 1e-9, or the
+run fails loudly.  :func:`evolve_grid` yields a whole trajectory from
+one such call; :func:`evolve_exact` is its one-interval case.  The
+Dyson terms (:mod:`dyson`) need no exponential: they are closed Fourier
+sums in the interaction frame.
 
-The agreement check catches a faulty engine, but for the exact evolver
-it does not measure truncation: both passes run one matrix, scipy
-truncates each Taylor sub-step at unit roundoff, and the passes differ
-only by rounding.  Where scipy lands on the same sub-steps in both they
-agree bit for bit: the estimate is exactly 0.0 at every grid point of
-the cat study at N = 16 and the convergence study at N = 8 (default
-grids), and 1e-14 to 7e-14 at N = 4.  The Dyson estimate measures more
-because its two passes also differ in the Fock pad, P against 2P.
+The agreement check catches a faulty engine, but it does not measure
+truncation: both passes run one matrix, scipy truncates each Taylor
+sub-step at unit roundoff, and the passes differ only by rounding.
+Where scipy lands on the same sub-steps in both they agree bit for bit:
+the estimate is exactly 0.0 at every grid point of the cat study at
+N = 16 and the convergence study at N = 8 (default grids), and 1e-14 to
+7e-14 at N = 4.
 
 This module referees every closed-form and perturbative claim made by
 the rest of the package.
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 CAPACITY_LIMIT = 2_000_000  # amplitudes; past this the dense vector is refused
-EXPM_CALLS = 2  # engine applications per expm_checked call
 _AGREEMENT_TOL = 1e-8
 _NORM_TOL = 1e-9
 
@@ -158,57 +157,43 @@ def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
                            matrix=(sectors + splitting).tocsr())
 
 
-def expm_checked(t: float, coarse, fine, steps: int = 1, keep=None,
-                 unitary: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def expm_checked(t: float, h, v: np.ndarray,
+                 steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i t_k H) v at every point of the grid t_k = k t / steps,
     k = 0..steps, through scipy's truncated-Taylor ``expm_multiply``
     (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011), evaluated
     twice and compared point by point.
 
-    ``coarse`` and ``fine`` are (H, v) pairs for the same propagation,
-    ``fine`` possibly on a larger basis.  The coarse pair is stepped
-    over ``steps`` intervals and the fine pair over ``2 steps``, of which
-    every second point is kept; each pass is one call of scipy's
-    ``start/stop/num`` form (its Algorithm 5.2), so a checked call is
-    ``EXPM_CALLS`` engine applications whatever ``steps`` is.  ``keep``
-    is None (every entry means the same in both passes) or a pair
-    (coarse rows, fine rows) of index arrays naming the entries that do;
-    2-D index arrays give one comparison per row of them.  Returns the
-    kept entries of the fine result, shape (steps + 1, ...), and at each
-    point their relative change from the coarse result, the caller's
-    error estimate.
+    The grid is stepped once over ``steps`` intervals and once over
+    ``2 steps``, of which every second point is kept; each pass is one
+    call of scipy's ``start/stop/num`` form (its Algorithm 5.2), so a
+    checked call is two engine applications whatever ``steps`` is.
+    Returns the fine result, shape (steps + 1, v.size), and at each point
+    its relative change from the coarse result, the caller's error
+    estimate.
 
-    The comparison catches a faulty engine, but on its own it does not
-    measure truncation: scipy truncates every Taylor sub-step at unit
-    roundoff, so two passes on one matrix differ only by rounding, and
-    by nothing where scipy picks the same sub-steps for both (the exact
-    evolver's estimate is often exactly 0.0).  Only a difference in the
-    pairs themselves, such as the Dyson terms' Fock pads P and 2P, makes
-    it measure more.
+    The comparison catches a faulty engine, but it does not measure
+    truncation: scipy truncates every Taylor sub-step at unit roundoff,
+    so the two passes differ only by rounding, and by nothing where scipy
+    picks the same sub-steps for both (the estimate is often exactly
+    0.0).
 
-    The last ``unitary`` entries (default all) of the fine result must
-    evolve on their own under a Hermitian block and so keep the norm of
-    the fine input; a drift beyond 1e-9 at any grid point raises
-    :class:`IntegrationError`.
+    Every row of the fine result must keep the norm of ``v``; a drift
+    beyond 1e-9 at any grid point raises :class:`IntegrationError`.
     """
-    def grid(pair, intervals):
-        h, v = pair
+    def grid(intervals):
         return expm_multiply(-1j * h, v, start=0.0, stop=t, num=intervals + 1,
                              endpoint=True)
 
     # fine pass first, its odd points dropped at once, and the comparisons
     # row by row: at most one full grid is alive besides the kept rows
-    raw = grid(fine, 2 * steps)[::2].copy()
-    whole = grid(coarse, steps)
-    out = raw
-    if keep is not None:
-        whole, out = whole[:, keep[0]], raw[:, keep[1]]
+    out = grid(2 * steps)[::2].copy()
+    whole = grid(steps)
     err = np.array([np.linalg.norm(o - w, axis=-1)
                     / np.maximum(np.linalg.norm(o, axis=-1), 1e-300)
                     for o, w in zip(out, whole)])
-    conserved = raw if unitary is None else raw[:, -unitary:]
-    norm0 = np.linalg.norm(fine[1])
-    drift = max(abs(np.linalg.norm(row) - norm0) for row in conserved)
+    norm0 = np.linalg.norm(v)
+    drift = max(abs(np.linalg.norm(row) - norm0) for row in out)
     if not drift <= _NORM_TOL:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-9",
                                diagnostics={"error_estimate": float(np.max(err)),
@@ -249,7 +234,7 @@ def evolve_grid(state: JointState, t: float, steps: int, spec: HamiltonianSpec):
     if state.params.delta == 0 and not occupied.all():
         rows = np.repeat(occupied, state.ncut + 1)  # sector-major: q on a block of rows
         h, v0 = h[rows][:, rows], v0[rows]
-    out, err = expm_checked(t, (h, v0), (h, v0), steps=steps)
+    out, err = expm_checked(t, h, v0, steps=steps)
     worst = float(np.max(err))
     if not worst <= _AGREEMENT_TOL:
         raise IntegrationError(

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from conftest import (
+    coherent_closed,
     displacement_expm,
-    leaky_expm_multiply,
-    phase_kicked_expm_multiply,
     second_order_kernel,
+    van_loan_corrections,
 )
 import thermolim
-from thermolim import dyson, evolver
+from thermolim import dyson
 from thermolim.dyson import (
     CorrectionRecord,
     corrections_on_grid,
@@ -25,7 +27,7 @@ from thermolim.dyson import (
     scaling_fit,
     second_order_correction,
 )
-from thermolim.errors import DomainError, IntegrationError, QuadratureError
+from thermolim.errors import DomainError, QuadratureError
 from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
 from thermolim.fock import (
     FieldState,
@@ -386,8 +388,22 @@ class TestCorrectionChecks:
             assert rec.converged
             assert rec.diagnostics["error_estimate"] <= 1e-8
 
-    def test_engine_disagreement_is_flagged(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(evolver, "expm_multiply", phase_kicked_expm_multiply)
+    @staticmethod
+    def faulty_pass(monkeypatch, fault):
+        """Route every interaction-frame pass through ``fault(out, fine)``;
+        each correction runs a coarse pass and then a fine one."""
+        real = dyson._interaction_pass
+        calls = []
+
+        def wrapped(*args):
+            calls.append(None)
+            return fault(real(*args), len(calls) % 2 == 0)
+
+        monkeypatch.setattr(dyson, "_interaction_pass", wrapped)
+
+    def test_perturbed_fine_pass_is_flagged(self, monkeypatch, tmp_path):
+        self.faulty_pass(monkeypatch, lambda out, fine: [
+            x * (1 + 1e-6) if fine else x for x in out])
         p = params_for(2, 0.3, delta=0.02)
         for correction in (first_order_correction, second_order_correction):
             rec = correction(p, 1.0, vacuum(30))
@@ -400,15 +416,121 @@ class TestCorrectionChecks:
             "first-order quadrature not converged at t=1",
             "second-order quadrature not converged at t=1")
 
-    def test_engine_leak_raises(self, monkeypatch):
-        monkeypatch.setattr(evolver, "expm_multiply", leaky_expm_multiply)
+    def test_non_finite_pass_raises(self, monkeypatch):
+        self.faulty_pass(monkeypatch, lambda out, fine: [
+            np.where(np.arange(x.shape[1]) == 3, np.nan, x) for x in out])
         p = params_for(2, 0.3, delta=0.02)
         for correction in (first_order_correction, second_order_correction):
-            with pytest.raises(IntegrationError) as err:
+            with pytest.raises(QuadratureError, match="non-finite"):
                 correction(p, 1.0, vacuum(30))
-            assert err.value.diagnostics["drift"] > 1e-9
-        with pytest.raises(IntegrationError):
+        with pytest.raises(QuadratureError, match="non-finite"):
             corrections_on_grid(p, 1.0, 3, vacuum(30))
+
+    def test_short_fourier_window_raises(self, monkeypatch):
+        # as many nodes as ladder levels cannot hold the chirp
+        # e^{-i(c + 4g^2) sin s} at c = 5.4: its Bessel band runs to |l| ~ 30
+        monkeypatch.setattr(dyson, "_nodes", lambda params, support, levels: levels)
+        p = params_for(16, 0.3, delta=0.02)
+        for correction in (first_order_correction, second_order_correction):
+            with pytest.raises(QuadratureError, match="window"):
+                correction(p, math.pi, vacuum(choose_cutoff(p, 0.0, 0)))
+
+
+# ------------------------------------------------- padded Van Loan oracle
+
+def initial_for(p, kind, k=1, alpha=1.5, phi=0.7):
+    if kind == "cat":
+        return cat_state(alpha, phi, choose_cutoff(p, alpha, 0))[0]
+    k = k if kind == "fock" else 0
+    amps = np.zeros(choose_cutoff(p, 0.0, k) + 1, dtype=complex)
+    amps[0] = 1.0
+    if k:
+        amps[0] = amps[k] = 1.0 / math.sqrt(2.0)
+    return FieldState(amps)
+
+
+def assert_matches_oracle(p, t, steps, initial, rtol=1e-12):
+    firsts, seconds = corrections_on_grid(p, t, steps, initial)
+    for recs, ref in zip((firsts, seconds),
+                         van_loan_corrections(p, t, steps, initial.amplitudes)):
+        for rec, want in zip(recs, ref):
+            got = rec.field_correction.amplitudes
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+            assert rec.converged
+
+
+class TestVanLoanOracle:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 16), g=st.floats(0.0, 0.5),
+           t=st.floats(0.01, 2 * math.pi), steps=st.integers(1, 3),
+           kind=st.sampled_from(["vacuum", "cat", "fock"]), k=st.integers(1, 3),
+           alpha=st.floats(0.2, 2.0), phi=st.floats(0.0, math.pi))
+    def test_both_orders_match_oracle(self, n_atoms, g, t, steps, kind, k, alpha, phi):
+        p = params_for(n_atoms, g, delta=0.02)
+        assert_matches_oracle(p, t, steps, initial_for(p, kind, k, alpha, phi))
+
+    @pytest.mark.parametrize("n_atoms", [2, 4, 8, 16])
+    def test_sweep_points(self, n_atoms):
+        # the dyson-sweep benchmark points
+        p = params_for(n_atoms, 0.3, delta=0.02)
+        assert_matches_oracle(p, math.pi, 2, initial_for(p, "vacuum"))
+
+    @pytest.mark.parametrize("n_atoms, kind", [(8, "cat"), (4, "fock"), (16, "fock")])
+    def test_convergence_points(self, n_atoms, kind):
+        p = params_for(n_atoms, 0.25, delta=0.02)
+        initial = initial_for(p, kind, k=2, alpha=2.0, phi=1.2)
+        assert_matches_oracle(p, 2 * math.pi, 2, initial)
+
+    @pytest.mark.parametrize("n_atoms, g", [(1, 0.3), (2, 0.5), (5, 0.25),
+                                            (2, 0.5 + 1e-9), (2, 0.5 - 1e-9)])
+    @pytest.mark.parametrize("kind", ["vacuum", "cat"])
+    def test_resonant_rates(self, n_atoms, g, kind):
+        # c = 4 (N-1) g^2 is an integer (0, 1, 4) or within 4e-9 of one:
+        # one Fourier term has c + l ~ 0 and is integrated in closed form
+        c = 4.0 * (n_atoms - 1) * g ** 2
+        assert abs(c - round(c)) < 1e-8
+        p = params_for(n_atoms, g, delta=0.03)
+        assert_matches_oracle(p, 2 * math.pi, 3, initial_for(p, kind, alpha=1.0, phi=0.5))
+
+    def test_divided_difference_near_coincident_nodes(self):
+        # exp[0, ix, iy] = int_0^1 e^{ixs} int_0^s e^{i(y-x)r} dr ds: the inner
+        # integral in closed form, the outer by Simpson, on both sides of
+        # the Taylor switch and through coincident nodes
+        s = np.linspace(0.0, 1.0, 4001)
+        for x, y in [(0.0, 0.0), (1e-9, -1e-9), (0.7, 0.7 + 1e-12), (0.9, -0.2),
+                     (3.0, 3.0 + 1e-10), (-25.0, 1e-11), (1e-12, 30.0), (40.0, 41.5)]:
+            w = y - x
+            inner = s * np.exp(0.5j * w * s) * np.sinc(w * s / (2 * math.pi))
+            ref = simpson(np.exp(1j * x * s) * inner, x=s)
+            got = dyson._exp_divided_difference(np.array(x), np.array(y))
+            assert abs(got - ref) <= 1e-11
+
+
+class TestLargeN:
+    P = params_for(64, 0.3, delta=0.02)
+
+    def test_first_order_matches_interaction_integral(self):
+        # |c1(pi)| = V || int_0^pi e^{i Theta(s)} |b(s)> ds ||: the lab map is
+        # unitary, so a Simpson rule over the closed coherent states on 40
+        # levels (20001 nodes) is the reference; ncut is 1884 in the lab frame
+        p, t = self.P, math.pi
+        ts = np.linspace(0.0, t, 20_001)
+        rows = np.array([np.exp(1j * stationary_phase(p, s))
+                         * coherent_closed(2 * p.g * (1 - np.exp(1j * s)), 40)
+                         for s in ts])
+        ref = p.delta / 2 * math.sqrt(p.n_atoms) * np.linalg.norm(simpson(rows, x=ts, axis=0))
+        initial = vacuum(choose_cutoff(p, 0.0, 0))
+        assert initial.ncut == 1884
+        rec = first_order_correction(p, t, initial)
+        assert rec.converged
+        assert rec.amplitude_norm == pytest.approx(ref, rel=1e-10)
+
+    def test_scaling_study_runs_unflagged(self, tmp_path):
+        run = run_scenario(ScenarioConfig.from_mapping(dict(
+            study="dyson-scaling", delta=0.02, g=0.3, n_atoms=64,
+            t_max=math.pi, n_steps=2, out_dir=str(tmp_path))))
+        assert run.convergence_flags == ()
+        assert run.summary["ncut"] == 1884
 
 
 # ------------------------------------------------- consistency vs exact
