@@ -27,7 +27,8 @@ psi0 plus the levels a displacement of 4g reaches from it, whatever N
 is: N enters only through c.  The ladder is that support (the last level
 whose suffix norm is >= 1e-16) plus that reach, and U_m(t) maps the
 result back to the caller's cutoff with one (ncut+1) x L block of
-displacement elements per grid time.
+displacement elements (:func:`propagator._sector_map`) per record
+returned: the first order at every grid time, the second at t only.
 
 Factorised displacement.  D[b(s)] = e^{-i 4g^2 sin s} D[2g] e^{isn}
 D[-2g] e^{-isn}, and D[-2g] = D[2g]^T is real, so at the M nodes
@@ -66,7 +67,6 @@ lab-frame field its own, else ``CutoffError``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -75,7 +75,7 @@ from scipy.special import jv
 
 from .errors import DomainError, QuadratureError
 from .fock import TAIL_TOL, FieldState, ModelParams, _displacement_elements
-from .propagator import sector_frame
+from .propagator import _sector_map
 
 __all__ = [
     "CorrectionRecord",
@@ -210,14 +210,12 @@ def _interaction_pass(params: ModelParams, psi: np.ndarray, nodes: int,
     chirp = np.exp(-1j * (c + 4 * g * g) * np.sin(s))  # e^{-i(c + 4g^2) sin s}
     idx = np.arange(levels)
     blocks = [slice(lo, min(lo + _BLOCK, levels)) for lo in range(0, levels, _BLOCK)]
-    disp = np.empty((levels, levels))  # D[2g], real; D[-2g] is its transpose
-    for rows in blocks:
-        disp[rows] = _displacement_elements(idx[rows, None], idx, 2.0 * g).real
+    # D[2g], real; D[-2g] is its transpose
+    disp = _displacement_elements(idx[:, None], idx, 2.0 * g).real
     edges = {}  # per order: largest window-edge and largest coefficient
 
     def rotate(x, sign, rows):  # row n of x times e^{sign i n s_j}
-        for r, n in enumerate(range(rows.start, rows.stop)):
-            x[r] *= roots[(sign * n * jj) % m]
+        x *= roots[(sign * idx[rows, None] * jj) % m]
 
     def coefficients(x, phase, j):  # Fourier coefficients of x * phase, order j
         x *= phase
@@ -231,7 +229,7 @@ def _interaction_pass(params: ModelParams, psi: np.ndarray, nodes: int,
     y = np.empty((levels, m), complex)
     for rows in blocks:
         y[rows] = np.fft.fft(disp[:, rows].T * psi, n=m, axis=1)
-    rotate(y, 1, slice(0, levels))
+        rotate(y[rows], 1, rows)
     yv = y.view(np.float64)
     tcol = times[:, None]
     first = np.empty((times.size, levels), complex)
@@ -256,8 +254,8 @@ def _interaction_pass(params: ModelParams, psi: np.ndarray, nodes: int,
         w = np.empty((levels, 2 * m))
         for rows in blocks:
             w[rows] = disp[:, rows].T @ pv.view(np.float64)
+            rotate(w[rows].view(np.complex128), -1, rows)
         del pv
-        rotate(w.view(np.complex128), -1, slice(0, levels))
         second = np.zeros_like(first)
         kernel = _exp_integral(freq, tcol)
         for rows in blocks:
@@ -288,19 +286,6 @@ def _interaction_pass(params: ModelParams, psi: np.ndarray, nodes: int,
     return out
 
 
-def _lab_frame(x: np.ndarray, m: int, params: ModelParams, t: float,
-               ncut: int) -> np.ndarray:
-    """U_m(t) x on levels 0..ncut: e^{i xi_m} e^{-itn} D[beta_m] x."""
-    xi, beta = sector_frame(m, params, t)
-    n, k = np.arange(ncut + 1), np.arange(x.size)
-    out = np.empty(ncut + 1, complex)
-    step = max(_BLOCK, 4096 // x.size)  # ~4096 elements a block bound the temporaries
-    for lo in range(0, ncut + 1, step):
-        rows = n[lo: lo + step]
-        out[rows] = _displacement_elements(rows[:, None], k, beta) @ x
-    return cmath.exp(1j * xi) * np.exp(-1j * t * n) * out
-
-
 def _zero_record(ncut: int) -> CorrectionRecord:
     zero = FieldState(np.zeros(ncut + 1, complex), normalized=False)
     return CorrectionRecord(amplitude_norm=0.0, field_correction=zero,
@@ -309,14 +294,15 @@ def _zero_record(ncut: int) -> CorrectionRecord:
 
 
 def _corrections(order: int, params: ModelParams, t: float, steps: int,
-                 initial: FieldState) -> list[list[CorrectionRecord]]:
-    """Records of every order 1..``order`` at t_k = k t / steps,
-    k = 0..steps: entry [j - 1][k] is order j at t_k."""
+                 initial: FieldState
+                 ) -> tuple[list[CorrectionRecord], CorrectionRecord | None]:
+    """First-order records at t_k = k t / steps, k = 0..steps, and for
+    ``order`` 2 the second-order record at t (else None)."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     ncut = initial.ncut
     if params.delta == 0 or t == 0:
-        return [[_zero_record(ncut)] * (steps + 1) for _ in range(order)]
+        return [_zero_record(ncut)] * (steps + 1), _zero_record(ncut) if order == 2 else None
     support = _support(initial.amplitudes)
     levels = support + 1 + _reach(4.0 * params.g, support)
     pad = max(8, levels // 4)
@@ -338,8 +324,8 @@ def _corrections(order: int, params: ModelParams, t: float, steps: int,
             FieldState(row, normalized=False).require_tail(TAIL_TOL * norm ** 2)
         sector, scale = (params.n_atoms - 2, -1j * v) if j == 1 else (params.n_atoms, -v * v)
         row_records = []
-        for k, tk in enumerate(times):
-            amps = scale * _lab_frame(hi[k], sector, params, tk, ncut)
+        for k in range(steps + 1) if j == 1 else [steps]:
+            amps = scale * _sector_map(hi[k], sector, params, times[k], ncut)
             field = FieldState(amps, normalized=False).require_tail()
             e = float(err[k])
             row_records.append(CorrectionRecord(
@@ -347,17 +333,19 @@ def _corrections(order: int, params: ModelParams, t: float, steps: int,
                 diagnostics={"nodes": 2 * nodes, "error_estimate": e},
                 converged=e <= _REL_TOL))
         records.append(row_records)
-    return records
+    return records[0], records[1][0] if order == 2 else None
 
 
 def corrections_on_grid(params: ModelParams, t: float, steps: int,
                         initial_field: FieldState
-                        ) -> tuple[list[CorrectionRecord], list[CorrectionRecord]]:
-    """First- and second-order records at t_k = k t / steps, k = 0..steps,
-    both read off one coarse and one fine pass of Fourier sums."""
+                        ) -> tuple[list[CorrectionRecord], CorrectionRecord]:
+    """First-order records at t_k = k t / steps, k = 0..steps, and the
+    second-order record at t, all read off one coarse and one fine pass
+    of Fourier sums.  Only these steps + 2 fields are mapped back to the
+    lab frame."""
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
-    return tuple(_corrections(2, params, t, steps, initial_field))
+    return _corrections(2, params, t, steps, initial_field)
 
 
 def first_order_correction(params: ModelParams, t: float,
@@ -373,7 +361,7 @@ def second_order_correction(params: ModelParams, t: float,
     """Flip-and-return correction on the original collective sector:
     the time-ordered double integral over 0 <= r <= s <= t of
     -U_N(t-s) V U_{N-2}(s-r) V U_N(r) applied to the initial field."""
-    return _corrections(2, params, t, 1, initial_field)[1][-1]
+    return _corrections(2, params, t, 1, initial_field)[1]
 
 
 def scaling_fit(points) -> dict:

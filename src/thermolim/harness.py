@@ -110,7 +110,7 @@ def parse_config(text: str) -> dict[str, Any]:
         try:
             out[key] = json.loads(rhs.strip(), parse_float=_finite_float,
                                   parse_constant=_finite_float)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep a nesting recurses
             raise ValidationError(
                 f"line {lineno}: value for {key!r} is not a JSON literal: {exc}"
             ) from exc
@@ -494,14 +494,13 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     initial = _initial_field(config, config.initial_state)
     flags = []
     rows = []
-    firsts, seconds = corrections_on_grid(p, config.t_max, config.n_steps, initial)
+    firsts, second = corrections_on_grid(p, config.t_max, config.n_steps, initial)
     for t, rec in zip(_time_grid(config), firsts):
         if not rec.converged:
             flags.append(f"first-order quadrature not converged at t={t:.17g}")
         rows.append((1, p.n_atoms, t, rec.amplitude_norm,
                      rec.diagnostics["error_estimate"]))
     first_at_tmax = firsts[-1].amplitude_norm
-    second = seconds[-1]
     if not second.converged:
         flags.append(f"second-order quadrature not converged at t={config.t_max:.17g}")
     rows.append((2, p.n_atoms, config.t_max, second.amplitude_norm,

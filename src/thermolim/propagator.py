@@ -30,10 +30,10 @@ from .errors import DomainError
 from .fock import (
     FieldState,
     ModelParams,
+    _displacement_elements,
     assoc_laguerre,
     coherent_state,
     displaced_number_state,
-    displacement_matrix,
 )
 
 __all__ = [
@@ -94,15 +94,23 @@ def frame(params: ModelParams, alpha: float, phi: float, t: float) -> AnalyticFr
     return AnalyticFrame(xi=xi, beta=beta, beta_prime=beta_prime, phi1=phi1, phi2=phi2)
 
 
+def _sector_map(x: np.ndarray, m: int, params: ModelParams, t: float,
+                ncut: int) -> np.ndarray:
+    """U_m(t) x on levels 0..ncut for amplitudes x on levels 0..x.size-1:
+    e^{i xi_m} e^{-itn} D[beta_m] x, from one block of displacement
+    elements."""
+    xi, beta = sector_frame(m, params, t)
+    n = np.arange(ncut + 1)
+    out = _displacement_elements(n[:, None], np.arange(x.size), beta) @ x
+    return cmath.exp(1j * xi) * np.exp(-1j * t * n) * out
+
+
 def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) -> FieldState:
     """Apply the sector propagator U_m(t) to a field state: the
     displacement acts first, then the free rotation, then the scalar
     phase.  The result is the raw linear image (no renormalization);
     truncation leakage is certified by the tail check."""
-    xi_m, beta_m = sector_frame(m, params, t)
-    amps = displacement_matrix(state.ncut, beta_m) @ state.amplitudes
-    n = np.arange(state.ncut + 1)
-    amps = cmath.exp(1j * xi_m) * np.exp(-1j * t * n) * amps
+    amps = _sector_map(state.amplitudes, m, params, t, state.ncut)
     out = FieldState(amps, normalized=bool(abs(np.linalg.norm(amps) - 1.0) <= 1e-10))
     out.require_tail()
     return out

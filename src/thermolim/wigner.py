@@ -16,6 +16,7 @@ bookkeeping.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -449,11 +450,12 @@ def load_wgrd(path) -> WignerGrid:
             bounds = struct.unpack("<4d", extents)
         elif version != 0:
             raise ValidationError(f"{path}: unknown WGRD version tag {version}")
-        data = np.frombuffer(fh.read(nx * npts * 8), dtype="<f8")
+        size = nx * npts * 8  # checked before reading: a header may claim ~1e20 bytes
+        if size > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValidationError(f"{path}: truncated WGRD payload")
+        data = np.frombuffer(fh.read(size), dtype="<f8")
         if fh.read(1):
             raise ValidationError(f"{path}: bytes after the WGRD payload")
-    if data.size != nx * npts:
-        raise ValidationError(f"{path}: truncated WGRD payload")
     return WignerGrid(*bounds, nx, npts, data.reshape(nx, npts))
 
 

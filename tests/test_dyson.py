@@ -244,33 +244,50 @@ class TestFirstOrderCorrection:
 class TestCorrectionsOnGrid:
     @pytest.mark.parametrize("n_atoms, kind", [(2, "vacuum"), (8, "vacuum"), (4, "cat")])
     def test_matches_single_time_records(self, n_atoms, kind):
-        # both orders at every grid time come from one order-2 exponential;
-        # each must match the single-time entry point at that time
+        # the first order at every grid time and the second order at t_max
+        # come from one pair of passes; each must match the single-time
+        # entry point at that time
         p = params_for(n_atoms, 0.3, delta=0.02)
         if kind == "cat":
             initial, _ = cat_state(1.5, 0.7, choose_cutoff(p, 1.5, 0))
         else:
             initial = vacuum(choose_cutoff(p, 0.0, 0))
         steps, t_max = 4, math.pi
-        firsts, seconds = corrections_on_grid(p, t_max, steps, initial)
-        assert len(firsts) == len(seconds) == steps + 1
-        for k, t in enumerate(np.linspace(0.0, t_max, steps + 1)):
-            for grid_rec, correction in ((firsts[k], first_order_correction),
-                                         (seconds[k], second_order_correction)):
-                ref = correction(p, t, initial).field_correction.amplitudes
-                got = grid_rec.field_correction.amplitudes
-                assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-                assert grid_rec.amplitude_norm == pytest.approx(
-                    np.linalg.norm(ref), rel=1e-12, abs=0)
-                assert grid_rec.converged
-                assert grid_rec.diagnostics["error_estimate"] <= 1e-8
+        firsts, second = corrections_on_grid(p, t_max, steps, initial)
+        assert len(firsts) == steps + 1
+        pairs = [(rec, first_order_correction, t)
+                 for rec, t in zip(firsts, np.linspace(0.0, t_max, steps + 1))]
+        for grid_rec, correction, t in pairs + [(second, second_order_correction, t_max)]:
+            ref = correction(p, t, initial).field_correction.amplitudes
+            got = grid_rec.field_correction.amplitudes
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert grid_rec.amplitude_norm == pytest.approx(
+                np.linalg.norm(ref), rel=1e-12, abs=0)
+            assert grid_rec.converged
+            assert grid_rec.diagnostics["error_estimate"] <= 1e-8
 
     def test_zero_splitting_and_bad_grid(self):
         p = params_for(2, 0.3)
-        firsts, seconds = corrections_on_grid(p, 1.0, 3, vacuum(30))
-        assert [r.amplitude_norm for r in firsts + seconds] == [0.0] * 8
+        firsts, second = corrections_on_grid(p, 1.0, 3, vacuum(30))
+        assert [r.amplitude_norm for r in firsts + [second]] == [0.0] * 5
         with pytest.raises(DomainError, match="steps"):
             corrections_on_grid(params_for(2, 0.3, delta=0.02), 1.0, 0, vacuum(30))
+
+    def test_scaling_study_maps_only_the_fields_it_reads(self, monkeypatch, tmp_path):
+        # n_steps = 16: the 17 first-order grid fields and the one
+        # second-order field at t_max go back to the lab frame, no more
+        calls = []
+        real = dyson._sector_map
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dyson, "_sector_map", counted)
+        run_scenario(ScenarioConfig.from_mapping(dict(
+            study="dyson-scaling", delta=0.02, g=0.3, n_atoms=4,
+            t_max=math.pi, n_steps=16, out_dir=str(tmp_path))))
+        assert calls == [2] * 17 + [4]
 
 
 # ------------------------------------------------- second-order return
@@ -450,13 +467,14 @@ def initial_for(p, kind, k=1, alpha=1.5, phi=0.7):
 
 
 def assert_matches_oracle(p, t, steps, initial, rtol=1e-12):
-    firsts, seconds = corrections_on_grid(p, t, steps, initial)
-    for recs, ref in zip((firsts, seconds),
-                         van_loan_corrections(p, t, steps, initial.amplitudes)):
-        for rec, want in zip(recs, ref):
-            got = rec.field_correction.amplitudes
-            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
-            assert rec.converged
+    # every first-order grid time, and the second order at t
+    firsts, second = corrections_on_grid(p, t, steps, initial)
+    ref_firsts, ref_seconds = van_loan_corrections(p, t, steps, initial.amplitudes)
+    assert len(firsts) == len(ref_firsts) == steps + 1
+    for rec, want in zip(firsts + [second], list(ref_firsts) + [ref_seconds[-1]]):
+        got = rec.field_correction.amplitudes
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+        assert rec.converged
 
 
 class TestVanLoanOracle:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermolim.cli import main as cli_main
@@ -64,6 +64,10 @@ class TestParseConfig:
     def test_non_json_value_named(self):
         with pytest.raises(ValidationError, match="'phi'"):
             parse_config("phi = pi/2")
+
+    def test_deep_nesting_named(self):
+        with pytest.raises(ValidationError, match="line 2: value for 'x'"):
+            parse_config("g = 1\nx = " + "[" * 100_000)
 
     def test_missing_equals(self):
         with pytest.raises(ValidationError, match="key = value"):
@@ -218,6 +222,7 @@ def _leaves(value):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_CONFIG_TEXT)
+@example("x = " + "[" * 100_000)  # nesting deep enough to exhaust the JSON recursion
 def test_config_text_raises_only_validation_error(text):
     try:
         config = ScenarioConfig.from_mapping(parse_config(text))

@@ -14,9 +14,11 @@ from thermolim.fock import (
     choose_cutoff,
     coherent_state,
     displaced_number_state,
+    displacement_matrix,
     overlap,
 )
 from thermolim.propagator import (
+    _sector_map,
     apply_uf_sector,
     asymptotic_branch_ratio,
     evolve_cat_leading,
@@ -147,6 +149,34 @@ class TestApplyUfSector:
         psi, _ = cat_state(2.0, math.pi / 2, ncut)
         out = apply_uf_sector(psi, 8, p, t=math.pi)
         assert abs(out.norm - 1.0) < 1e-9
+
+    def test_matches_dense_displacement_product(self):
+        # the square case of the map is bit-equal to the dense product
+        p, t = params_for(8, 0.25), 2.3
+        psi, _ = cat_state(2.0, 0.6, choose_cutoff(p, 2.0, 0))
+        xi, beta = sector_frame(6, p, t)
+        n = np.arange(psi.ncut + 1)
+        dense = (cmath.exp(1j * xi) * np.exp(-1j * t * n)
+                 * (displacement_matrix(psi.ncut, beta) @ psi.amplitudes))
+        np.testing.assert_array_equal(apply_uf_sector(psi, 6, p, t).amplitudes, dense)
+
+    @pytest.mark.parametrize("n_atoms, g, ncut, levels", [(64, 0.3, 1884, 43),
+                                                          (1, 0.5, 24, 61)])
+    def test_rectangular_map_matches_dense_block(self, n_atoms, g, ncut, levels):
+        # the Dyson ladders at N = 64 (43 levels onto the 1885 of the lab
+        # cutoff) and at N = 1 (61 levels onto 25): rows 0..ncut and
+        # columns 0..levels-1 of the dense matrix
+        p, t = params_for(n_atoms, g), math.pi
+        assert choose_cutoff(p, 0.0, 0) == ncut
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+        xi, beta = sector_frame(n_atoms, p, t)
+        block = displacement_matrix(max(ncut, levels - 1), beta)[: ncut + 1, :levels]
+        n = np.arange(ncut + 1)
+        want = cmath.exp(1j * xi) * np.exp(-1j * t * n) * (block @ x)
+        got = _sector_map(x, n_atoms, p, t, ncut)
+        assert got.shape == (ncut + 1,)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ----------------------------------------------------- leading-order states

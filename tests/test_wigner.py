@@ -553,6 +553,15 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             load_wgrd(path)
 
+    def test_binary_oversized_header_rejected(self, tmp_path):
+        # a version-1 header alone that claims (2^32 - 1)^2 points, ~1.5e20
+        # payload bytes: the size is checked against the file, never read
+        path = tmp_path / "w.wgrd"
+        path.write_bytes(b"WGRD" + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+                         + struct.pack("<4f", -1, 1, -1, 1) + b"\x00" * 4)
+        with pytest.raises(ValidationError, match="w.wgrd: truncated WGRD payload"):
+            load_wgrd(path)
+
     def test_binary_trailing_bytes_rejected(self, tmp_path):
         grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
         path = tmp_path / "w.wgrd"
