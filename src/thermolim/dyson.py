@@ -27,8 +27,8 @@ psi0 plus the levels a displacement of 4g reaches from it, whatever N
 is: N enters only through c.  The ladder is that support (the last level
 whose suffix norm is >= 1e-16) plus that reach, and U_m(t) maps the
 result back to the caller's cutoff with one (ncut+1) x L block of
-displacement elements (:func:`propagator._sector_map`) per record
-returned: the first order at every grid time, the second at t only.
+displacement elements (:func:`propagator._sector_map`) per record an
+entry returns (on a grid: the first order at every time, the second at t).
 
 Factorised displacement.  D[b(s)] = e^{-i 4g^2 sin s} D[2g] e^{isn}
 D[-2g] e^{-isn}, and D[-2g] = D[2g]^T is real, so at the M nodes
@@ -74,7 +74,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import DomainError, QuadratureError
-from .fock import TAIL_TOL, FieldState, ModelParams, _displacement_elements
+from .fock import TAIL_TOL, FieldState, ModelParams, _displacement_elements, _support
 from .propagator import _sector_map
 
 __all__ = [
@@ -145,13 +145,6 @@ def _reach(alpha: float, k: int) -> int:
            - math.lgamma(j + 1)) >= floor:
         j += 1
     return j
-
-
-def _support(amps: np.ndarray) -> int:
-    """Last level whose suffix norm is at least 1e-16 (0 if none is)."""
-    suffix = np.sqrt(np.cumsum(np.abs(amps[::-1]) ** 2))[::-1]
-    above = np.flatnonzero(suffix >= _SUPPORT_TOL)
-    return int(above[-1]) if above.size else 0
 
 
 def _nodes(params: ModelParams, support: int, levels: int) -> int:
@@ -294,16 +287,17 @@ def _zero_record(ncut: int) -> CorrectionRecord:
 
 
 def _corrections(order: int, params: ModelParams, t: float, steps: int,
-                 initial: FieldState
+                 initial: FieldState, firsts: range
                  ) -> tuple[list[CorrectionRecord], CorrectionRecord | None]:
-    """First-order records at t_k = k t / steps, k = 0..steps, and for
-    ``order`` 2 the second-order record at t (else None)."""
+    """First-order records at t_k = k t / steps for k in ``firsts``, and
+    for ``order`` 2 the second-order record at t (else None); only these
+    fields are mapped back to the lab frame."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     ncut = initial.ncut
     if params.delta == 0 or t == 0:
-        return [_zero_record(ncut)] * (steps + 1), _zero_record(ncut) if order == 2 else None
-    support = _support(initial.amplitudes)
+        return [_zero_record(ncut)] * len(firsts), _zero_record(ncut) if order == 2 else None
+    support = _support(initial.amplitudes, _SUPPORT_TOL)
     levels = support + 1 + _reach(4.0 * params.g, support)
     pad = max(8, levels // 4)
     nodes = _nodes(params, support, levels + pad)
@@ -324,7 +318,7 @@ def _corrections(order: int, params: ModelParams, t: float, steps: int,
             FieldState(row, normalized=False).require_tail(TAIL_TOL * norm ** 2)
         sector, scale = (params.n_atoms - 2, -1j * v) if j == 1 else (params.n_atoms, -v * v)
         row_records = []
-        for k in range(steps + 1) if j == 1 else [steps]:
+        for k in firsts if j == 1 else [steps]:
             amps = scale * _sector_map(hi[k], sector, params, times[k], ncut)
             field = FieldState(amps, normalized=False).require_tail()
             e = float(err[k])
@@ -345,7 +339,7 @@ def corrections_on_grid(params: ModelParams, t: float, steps: int,
     lab frame."""
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
-    return _corrections(2, params, t, steps, initial_field)
+    return _corrections(2, params, t, steps, initial_field, range(steps + 1))
 
 
 def first_order_correction(params: ModelParams, t: float,
@@ -353,7 +347,7 @@ def first_order_correction(params: ModelParams, t: float,
     """Single-flip correction amplitude into the orthogonal collective
     sector: -i int_0^t U_{N-2}(t-s) V U_N(s) ds applied to the initial
     field."""
-    return _corrections(1, params, t, 1, initial_field)[0][-1]
+    return _corrections(1, params, t, 1, initial_field, range(1, 2))[0][0]
 
 
 def second_order_correction(params: ModelParams, t: float,
@@ -361,7 +355,7 @@ def second_order_correction(params: ModelParams, t: float,
     """Flip-and-return correction on the original collective sector:
     the time-ordered double integral over 0 <= r <= s <= t of
     -U_N(t-s) V U_{N-2}(s-r) V U_N(r) applied to the initial field."""
-    return _corrections(2, params, t, 1, initial_field)[1]
+    return _corrections(2, params, t, 1, initial_field, range(0))[1]
 
 
 def scaling_fit(points) -> dict:

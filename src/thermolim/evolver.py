@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import CapacityError, DomainError, IntegrationError, ValidationError
-from .fock import FieldState, ModelParams, overlap
+from .fock import CAPACITY_LIMIT, FieldState, ModelParams, overlap
 from .spins import CollectiveState, sigma_z_coupling
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "fidelity",
 ]
 
-CAPACITY_LIMIT = 2_000_000  # amplitudes; past this the dense vector is refused
 _AGREEMENT_TOL = 1e-8
 _NORM_TOL = 1e-9
 
@@ -113,9 +112,6 @@ class JointState:
         if spin.n_atoms != params.n_atoms:
             raise DomainError("spin state size does not match params")
         return cls(np.outer(field.amplitudes, spin.amplitudes), params)
-
-    def sector_probabilities(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
 
     def field_marginal(self) -> FieldState:
         """Field amplitudes with the norm taken over sectors: row n holds

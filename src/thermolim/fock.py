@@ -21,7 +21,7 @@ from numbers import Real
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import CutoffError, DomainError
+from .errors import CapacityError, CutoffError, DomainError
 
 __all__ = [
     "FieldState",
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-8  # shared tail-mass budget for every constructed state
+CAPACITY_LIMIT = 2_000_000  # amplitudes; past this a dense array is refused
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,14 @@ def overlap(a: FieldState, b: FieldState) -> complex:
     va[: a.amplitudes.size] = a.amplitudes
     vb[: b.amplitudes.size] = b.amplitudes
     return complex(np.vdot(va, vb))
+
+
+def _support(amps: np.ndarray, tol: float) -> int:
+    """Last level whose suffix norm sqrt(sum_(n>=d) |amps_n|^2) is at least
+    ``tol`` (0 if none is)."""
+    suffix = np.sqrt(np.cumsum(np.abs(amps[::-1]) ** 2))[::-1]
+    above = np.flatnonzero(suffix >= tol)
+    return int(above[-1]) if above.size else 0
 
 
 def assoc_laguerre(n: int, k: int, x: float) -> float:
@@ -274,14 +283,26 @@ def choose_cutoff(params: ModelParams, alpha: float, k: int) -> int:
     Poisson(s^2), the photon distribution of a coherent state of radius
     s.  The band widens with the cutoff, so the start value alone stops
     clearing it from s ~ 12 on; below that the start value is kept.
+
+    A start value whose Poisson table (2 ncut + 1 entries) would exceed
+    ``CAPACITY_LIMIT``, or that overflows a float, raises
+    :class:`CapacityError` before anything is allocated.
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
-    s = 2.0 * params.n_atoms * params.g + alpha + math.sqrt(k)
+    try:
+        s = 2.0 * params.n_atoms * params.g + alpha + math.sqrt(k)
+    except OverflowError:
+        s = math.inf
     mean = s * s
-    ncut = math.ceil(mean + 6.5 * s + 16.0)
+    start = mean + 6.5 * s + 16.0
+    if not start <= (CAPACITY_LIMIT - 1) // 2:
+        raise CapacityError(
+            f"cutoff start value {start:.3g}: its Poisson table of 2 ncut + 1 "
+            f"entries would exceed {CAPACITY_LIMIT}")
+    ncut = math.ceil(start)
     if mean > 0:
         # above[j]: Poisson(s^2) mass on j..2 ncut; past 2 ncut it is nil
         j = np.arange(2 * ncut + 1)

@@ -440,6 +440,7 @@ def _leading_vs_exact(config: ScenarioConfig, kind: str) -> _StudyResult:
 def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     p = config.params
     a, ph = config.alpha, config.phi
+    ncut = choose_cutoff(p, a, 0)  # first: it refuses an unbounded N before any grid
     # cover every branch center the window visits
     centers = []
     for t in np.linspace(0.0, config.t_max, 65):
@@ -462,7 +463,6 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
         flags.append(f"time average not converged: change {report.max_change:.3e} "
                      f"after {report.doublings} doublings")
 
-    ncut = choose_cutoff(p, a, 0)
     cat0, norm0 = cat_state(a, ph, ncut)
     w_full = wigner_numeric(cat0, grid)
     # two separable Gaussians: one rank-2 product of 1-D factors

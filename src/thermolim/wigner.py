@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .errors import DomainError, QuadratureError, ValidationError
-from .fock import FieldState, ModelParams
+from .fock import FieldState, ModelParams, _support
 from .propagator import frame
 
 __all__ = [
@@ -213,10 +213,7 @@ def wigner_numeric(state: FieldState, grid: WignerGrid) -> WignerGrid:
     """
     state.require_tail(1e-6)
     amps = state.amplitudes
-    suffix = np.sqrt(np.cumsum((np.abs(amps) ** 2)[::-1])[::-1])
-    dmax = amps.size - 1
-    while dmax > 0 and suffix[dmax] < 1e-12:
-        dmax -= 1
+    dmax = _support(amps, 1e-12)
     coeffs = amps[: dmax + 1]
 
     reach = math.sqrt(2 * dmax + 1) + 8.0
@@ -342,31 +339,6 @@ class TimeAverageReport:
     converged: bool
 
 
-def _mean_of_samples(evaluator, t0: float, t1: float, n: int) -> tuple[np.ndarray, Any]:
-    """Midpoint mean of n samples, and the last sample, whose geometry a
-    grid result takes.  A sample is held, not copied, until the next one
-    is added to it, so an evaluator must not overwrite an array it has
-    already returned."""
-    # midpoint sampling: exact for full periods of trig signals
-    h = (t1 - t0) / n
-    stack: list[tuple[int, np.ndarray]] = []  # (level, sum)
-    for i in range(n):
-        v = evaluator(t0 + (i + 0.5) * h)
-        arr = np.asarray(v.values if isinstance(v, WignerGrid) else v, dtype=np.float64)
-        level, acc = 0, arr
-        # `prev` holds the last popped sum until the next pop: freeing it
-        # at once raised peak RSS of a 375x375 average by about 4 MB
-        while stack and stack[-1][0] == level:
-            _, prev = stack.pop()
-            acc = prev + acc
-            level += 1
-        stack.append((level, acc))
-    total = stack[0][1]
-    for _, part in stack[1:]:
-        total = part + total
-    return total / n, v
-
-
 def time_average(
     evaluator: Callable[[float], "WignerGrid | np.ndarray | float"],
     window: tuple[float, float],
@@ -379,29 +351,45 @@ def time_average(
     pointwise change drops below 1e-4; after 4 doublings without
     convergence the result is returned flagged rather than raised, so
     sweeps can report partial data.
+
+    Each mean is one in-place running sum of deviations from a copy of
+    the first sample, f_1 + sum_i (f(t_i) - f_1) / n: a constant signal
+    averages to itself bit for bit, an evaluator may refill one buffer,
+    and for n <= 1024 the rounding error, below n eps sum |f| (Higham,
+    SIAM J. Sci. Comput. 14, 783 (1993)), sits far under the 1e-4 bar.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got {window}")
-    n = 64
-    current, sample = _mean_of_samples(evaluator, t0, t1, n)
-    doublings = 0
-    max_change = math.inf
-    converged = False
-    while doublings < 4:
+
+    def mean(n: int) -> tuple[np.ndarray, Any]:  # and the last sample, for its geometry
+        h = (t1 - t0) / n  # midpoint sampling: exact for full periods of trig signals
+        for i in range(n):
+            sample = evaluator(t0 + (i + 0.5) * h)
+            v = np.asarray(sample.values if isinstance(sample, WignerGrid) else sample,
+                           dtype=np.float64)
+            if i == 0:
+                base, total = v.copy(), np.zeros_like(v)
+            total += v
+            total -= base
+        total /= n
+        total += base
+        return total, sample
+
+    n, doublings = 64, 0
+    current, sample = mean(n)
+    max_change, converged = math.inf, False
+    while doublings < 4 and not converged:
         n *= 2
         doublings += 1
-        refined, sample = _mean_of_samples(evaluator, t0, t1, n)
+        refined, sample = mean(n)
         max_change = float(np.max(np.abs(refined - current)))
-        current = refined
-        if max_change < 1e-4:
-            converged = True
-            break
+        current, converged = refined, max_change < 1e-4
     report = TimeAverageReport(n_samples=n, doublings=doublings,
                                max_change=max_change, converged=converged)
     if isinstance(sample, WignerGrid):
         return sample.with_values(current), report
-    return current, report
+    return current[()], report  # a 0-d mean comes back as a scalar
 
 
 def fringe_visibility(w_full: WignerGrid, w_branches: WignerGrid) -> float:

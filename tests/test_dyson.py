@@ -275,7 +275,8 @@ class TestCorrectionsOnGrid:
 
     def test_scaling_study_maps_only_the_fields_it_reads(self, monkeypatch, tmp_path):
         # n_steps = 16: the 17 first-order grid fields and the one
-        # second-order field at t_max go back to the lab frame, no more
+        # second-order field at t_max go back to the lab frame, no more;
+        # each single-time entry maps the one field it returns
         calls = []
         real = dyson._sector_map
 
@@ -288,6 +289,13 @@ class TestCorrectionsOnGrid:
             study="dyson-scaling", delta=0.02, g=0.3, n_atoms=4,
             t_max=math.pi, n_steps=16, out_dir=str(tmp_path))))
         assert calls == [2] * 17 + [4]
+        p = params_for(8, 0.3, delta=0.02)
+        initial = vacuum(choose_cutoff(p, 0.0, 0))
+        for correction, sector in [(first_order_correction, 6),
+                                   (second_order_correction, 8)]:
+            calls.clear()
+            correction(p, math.pi, initial)
+            assert calls == [sector]
 
 
 # ------------------------------------------------- second-order return

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import coherent_closed, displacement_expm, displacement_pade, \
     displacement_series_mp, laguerre_series
-from thermolim.errors import CutoffError, DomainError
+from thermolim.errors import CapacityError, CutoffError, DomainError
 from thermolim.fock import (
+    CAPACITY_LIMIT,
     TAIL_TOL,
     FieldState,
     ModelParams,
@@ -25,6 +26,7 @@ from thermolim.fock import (
     displacement_matrix,
     overlap,
 )
+from thermolim.fock import _support
 
 
 # ---------------------------------------------------------------- laguerre
@@ -298,6 +300,26 @@ def test_choose_cutoff_number_state_case():
     got = choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 4)
     assert got >= 32
     assert got >= 4  # |4> representable
+
+
+def test_choose_cutoff_refuses_ladders_past_the_capacity_limit():
+    # N g = 2.5e5 asks for a Poisson table of ~5e11 entries; 10**400 atoms
+    # overflow a float.  Both are refused before the table is built.
+    for n_atoms in [10**6, 10**400]:
+        with pytest.raises(CapacityError, match=str(CAPACITY_LIMIT)):
+            choose_cutoff(ModelParams(0.0, 0.25, n_atoms), 0.0, 0)
+    with pytest.raises(CapacityError):
+        choose_cutoff(ModelParams(0.0, 0.0, 1), 0.0, 10**400)
+    # s = 500 starts at 253266, inside the limit
+    assert choose_cutoff(ModelParams(0.0, 0.25, 1000), 0.0, 0) >= 253266
+
+
+def test_support_is_last_level_with_suffix_norm_at_tolerance():
+    amps = np.array([1.0, 3e-13, 4e-13, 0.0, 0.0])
+    assert _support(amps, 1e-12) == 0
+    assert _support(amps, 4.5e-13) == 1  # suffix norms 5e-13, 4e-13 at levels 1, 2
+    assert _support(amps, 3.5e-13) == 2
+    assert _support(np.zeros(4), 1e-16) == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermolim.cli import main as cli_main
-from thermolim.errors import ValidationError
+from thermolim.errors import CapacityError, ValidationError
 from thermolim.harness import (
     STUDY_NAMES,
     SWEEP_AXES,
@@ -483,6 +483,22 @@ class TestRunSweep:
         assert "alpha" in failed["error"]
         assert records[0] is not None and records[1] is None
         assert (tmp_path / "alpha_1p0" / "cat.csv").exists()
+
+    def test_unbounded_cutoff_fails_only_its_point(self, tmp_path):
+        # N = 10**6 would ask choose_cutoff for a ~5e11-entry table and
+        # N = 10**400 overflows a float; both fail typed, N = 2 still runs
+        records, aggregate = run_sweep(make_config(
+            study="dyson-scaling", delta=0.02, g=0.25, n_steps=2,
+            sweep_axis="n_atoms", sweep_values=[2, 10**6, 10**400],
+            out_dir=str(tmp_path)))
+        assert aggregate["partial"]
+        errors = [e.get("error") for e in aggregate["points"]]
+        assert errors[0] is None
+        assert all(e.startswith("CapacityError") for e in errors[1:])
+        assert records[0] is not None and records[1:] == [None, None]
+        with pytest.raises(CapacityError):
+            run_scenario(make_config(study="wigner", n_atoms=10**400,
+                                     out_dir=str(tmp_path / "wigner")))
 
     def test_declared_fit_needs_enough_points(self, tmp_path):
         _, aggregate = run_sweep(make_config(

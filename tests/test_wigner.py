@@ -386,6 +386,7 @@ class TestTimeAverage:
         k = 3.0
         avg, report = time_average(lambda t: math.cos(k * t), (0.0, 2 * math.pi / k))
         assert report.converged
+        assert isinstance(avg, float)  # a scalar signal averages to a scalar
         assert abs(float(avg)) < 1e-12
 
     def test_nonconvergent_signal_is_flagged(self):
@@ -400,6 +401,38 @@ class TestTimeAverage:
         assert not report.converged
         assert report.doublings == 4
         assert report.max_change >= 1e-4
+
+    def test_refilled_buffer_averages_like_fresh_arrays(self):
+        # every sample is consumed before the next call, so an evaluator
+        # may hand back one buffer filled anew each time
+        buffer = np.empty(2)
+
+        def refilled(t):
+            buffer[:] = (t, t * t)
+            return buffer
+
+        fresh, fresh_report = time_average(lambda t: np.array([t, t * t]), (0.0, 1.0))
+        avg, report = time_average(refilled, (0.0, 1.0))
+        np.testing.assert_array_equal(avg, fresh)
+        assert report == fresh_report
+        assert report.converged
+        assert avg[0] == pytest.approx(0.5, abs=1e-15)
+        assert avg[1] == pytest.approx(1 / 3, abs=1e-4)
+
+    def test_sample_count_on_a_window_that_converges_at_once(self):
+        # 64 midpoints, then 128; the first doubling settles a line
+        times = []
+
+        def line(t):
+            times.append(t)
+            return np.array([t, 2.0 - t])
+
+        avg, report = time_average(line, (0.0, 2.0))
+        assert len(times) == 64 + 128
+        assert (report.n_samples, report.doublings, report.converged) == (128, 1, True)
+        np.testing.assert_array_equal(times[:64], (np.arange(64) + 0.5) * (2.0 / 64))
+        np.testing.assert_array_equal(times[64:], (np.arange(128) + 0.5) * (2.0 / 128))
+        np.testing.assert_allclose(avg, [1.0, 1.0], rtol=0, atol=1e-15)
 
     def test_window_and_sample_validation(self):
         with pytest.raises(DomainError):
