@@ -74,7 +74,14 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import DomainError, QuadratureError
-from .fock import TAIL_TOL, FieldState, ModelParams, _displacement_elements, _support
+from .fock import (
+    TAIL_TOL,
+    FieldState,
+    ModelParams,
+    _bessel_window,
+    _displacement_elements,
+    _support,
+)
 from .propagator import _sector_map
 
 __all__ = [
@@ -122,7 +129,7 @@ def oscillatory_integral(params: ModelParams, t: float) -> complex:
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     c = 4.0 * (params.n_atoms - 1) * params.g ** 2
-    m = math.ceil(c + 30 + 10 * c ** (1 / 3))
+    m = _bessel_window(c)
     n = np.arange(-m, m + 1)
     bessel = jv(n, c)
     result = complex(np.sum(bessel * _exp_integral(c - n, t)))
@@ -153,7 +160,7 @@ def _nodes(params: ModelParams, support: int, levels: int) -> int:
     the frequencies the displacement D[2g e^{is}] adds, and at least
     ``levels``."""
     cp = 4.0 * params.n_atoms * params.g ** 2
-    n = np.arange(math.ceil(cp), math.ceil(cp + 30 + 10 * cp ** (1 / 3)) + 1)
+    n = np.arange(math.ceil(cp), _bessel_window(cp) + 1)
     bessel = n[np.flatnonzero(np.abs(jv(n, cp)) <= _REACH_TOL)[0]]
     band = int(bessel) + _reach(2.0 * params.g, support)
     return 1 << (max(2 * band, levels) - 1).bit_length()

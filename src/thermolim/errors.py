@@ -35,9 +35,10 @@ class QuadratureError(ThermolimError):
 class IntegrationError(ThermolimError):
     """An exponential-engine result failed its certification.
 
-    Carries a ``diagnostics`` dict: ``error_estimate``, the relative
-    change between one whole step and two half steps, and ``drift``
-    when the norm check failed, so failures can be debugged.
+    Carries a ``diagnostics`` dict: ``error_estimate``, the largest
+    truncation estimate on the grid (the relative norm of the Chebyshev
+    terms past the coarse window, accumulated over the intervals), and
+    ``drift`` when the norm check failed, so failures can be debugged.
     """
 
     def __init__(self, message: str, diagnostics: dict | None = None):

@@ -132,6 +132,15 @@ def _support(amps: np.ndarray, tol: float) -> int:
     return int(above[-1]) if above.size else 0
 
 
+def _bessel_window(x: float, margin: float = 30) -> int:
+    """Last order n = ceil(x + margin + (margin / 3) x^(1/3)) kept in a
+    Bessel sum of argument x >= 0: past the turning point n = x, J_n(x)
+    falls off super-exponentially over a width of order x^(1/3).  The
+    Jacobi-Anger sums of :mod:`dyson` and the Chebyshev series of
+    :mod:`evolver` share it."""
+    return math.ceil(x + margin + margin / 3 * x ** (1 / 3))
+
+
 def assoc_laguerre(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^(k)(x) by the three-term
     recurrence in the degree.

@@ -28,7 +28,7 @@ from .dyson import (
     oscillatory_integral,
     scaling_fit,
 )
-from .errors import ThermolimError, ValidationError
+from .errors import CapacityError, ThermolimError, ValidationError
 from .evolver import (
     JointState,
     build_hamiltonian,
@@ -36,7 +36,7 @@ from .evolver import (
     fidelity,
     project_chi,
 )
-from .fock import FieldState, ModelParams, cat_state, choose_cutoff
+from .fock import CAPACITY_LIMIT, FieldState, ModelParams, cat_state, choose_cutoff
 from .propagator import evolve_cat_leading, evolve_fock_leading, frame
 from .spins import (
     BRUTE_FORCE_LIMIT,
@@ -359,6 +359,8 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     # declared N-sweep aggregate measures the fluctuation-ratio slope at
     # identical per-site coefficients, which is where the -1/2 law is exact.
     p = config.params
+    if p.n_atoms > CAPACITY_LIMIT:
+        raise CapacityError(f"n_atoms above the limit of {CAPACITY_LIMIT} sites")
     if config.spin_a is not None:
         spec = ProductSpinSpec(_spin_vector(config.spin_a),
                                _spin_vector(config.spin_b))

@@ -12,8 +12,8 @@ come from scipy's ``expm_multiply`` over a padded Van Loan block matrix,
 and the joint-model oracle builds the full 2^N product-space
 Hamiltonian with dense kron products.  Tests freeze values computed
 from these, then compare the package against them.  Two fault
-injectors round the file off: exponential engines whose repeated steps
-disagree or leak norm.
+injectors round the file off: a Bessel window cut short and Bessel
+values that leak norm, the two ingredients of a Chebyshev propagator.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
 
 def laguerre_series(n: int, k: int, x) -> Fraction | float:
@@ -197,24 +197,17 @@ def van_loan_corrections(params, t: float, steps: int,
     return v * rows[:, dim: dim + ncut + 1], v * v * rows[:, : ncut + 1]
 
 
-def _per_interval(factor, a, v, start, stop, num, endpoint):
-    """scipy's grid form of ``expm_multiply`` with ``factor ** k`` on grid
-    row k, so that a fault of one interval accumulates along the grid."""
-    rows = expm_multiply(a, v, start=start, stop=stop, num=num, endpoint=endpoint)
-    return factor ** np.arange(num)[:, None] * rows
+def short_bessel_window(x, margin=30):
+    """The Bessel window ceil(x + margin + (margin / 3) x^(1/3)) without
+    its constant margin: a Chebyshev series cut there can keep its norm
+    to 1e-9 while it drops terms of order 1e-6."""
+    return math.ceil(x + margin / 3 * x ** (1 / 3))
 
 
-def phase_kicked_expm_multiply(a, v, start=None, stop=None, num=None, endpoint=None):
-    """A spurious phase e^{i 1e-6} per interval: grid row k gets
-    e^{i 1e-6 k}.  Each row stays unitary, but the coarse grid (row k)
-    and the fine grid with twice the intervals (row 2k) then differ by
-    about 1e-6 k."""
-    return _per_interval(np.exp(1e-6j), a, v, start, stop, num, endpoint)
-
-
-def leaky_expm_multiply(a, v, start=None, stop=None, num=None, endpoint=None):
-    """A norm leak of 1e-6 per interval: grid row k gets (1 - 1e-6)^k."""
-    return _per_interval(1.0 - 1e-6, a, v, start, stop, num, endpoint)
+def leaky_jv(n, x):
+    """Bessel values shrunk by 1 - 1e-6: a Chebyshev series built on them
+    loses 1e-6 of the norm per interval."""
+    return (1.0 - 1e-6) * jv(n, x)
 
 
 def displacement_series_mp(n: int, k: int, alpha: complex, dps: int = 50):

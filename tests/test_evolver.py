@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    leaky_expm_multiply,
-    phase_kicked_expm_multiply,
+    leaky_jv,
     product_space_hamiltonian,
+    short_bessel_window,
     symmetric_sector_embedding,
 )
 from thermolim import evolver
@@ -29,10 +29,12 @@ from thermolim.evolver import (
     build_hamiltonian,
     evolve_exact,
     evolve_grid,
+    expm_checked,
     fidelity,
     project_chi,
 )
 from thermolim.fock import FieldState, ModelParams, cat_state, choose_cutoff, coherent_state
+from thermolim.harness import ScenarioConfig, run_scenario
 from thermolim.propagator import evolve_cat_leading
 from thermolim.spins import CollectiveState, chi_prime_state, chi_state
 
@@ -288,19 +290,64 @@ class TestEvolveExact:
 
     @pytest.mark.parametrize("delta", [0.0, 0.4])
     def test_nonconvergence_raises_with_diagnostics(self, monkeypatch, delta):
-        # a phase kick per interval breaks coarse-vs-fine agreement, a
-        # leak per interval breaks the norm; both must raise with
-        # diagnostics, on the occupied-sector path (Delta = 0) as on the
-        # full one
+        # a Bessel window cut short keeps the norm but truncates, which
+        # only the estimate sees; Bessel values shrunk by 1e-6 leak norm
+        # per interval; both must raise with diagnostics, on the
+        # occupied-sector path (Delta = 0) as on the full one
         p = ModelParams(delta=delta, g=0.3, n_atoms=4)
         spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
-        for engine, key, tol in [(phase_kicked_expm_multiply, "error_estimate", 1e-8),
-                                 (leaky_expm_multiply, "drift", 1e-9)]:
-            monkeypatch.setattr(evolver, "expm_multiply", engine)
-            with pytest.raises(IntegrationError) as err:
+        with monkeypatch.context() as patch:
+            patch.setattr(evolver, "_bessel_window", short_bessel_window)
+            with pytest.raises(IntegrationError, match="truncation") as err:
                 evolve_exact(st, 6.0, spec)
-            assert err.value.diagnostics[key] > tol
+        assert err.value.diagnostics["error_estimate"] > 1e-8
+        assert "drift" not in err.value.diagnostics
+        with monkeypatch.context() as patch:
+            patch.setattr(evolver, "jv", leaky_jv)
+            with pytest.raises(IntegrationError, match="norm drift") as err:
+                evolve_exact(st, 6.0, spec)
+        assert err.value.diagnostics["drift"] > 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 4), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.5),
+           ncut=st.integers(4, 40), steps=st.integers(1, 3), t=st.floats(0.0, 40.0),
+           seed=st.integers(0, 2**32 - 1))
+    # r t = 999 in one interval, about the cat study's N = 16 grid
+    # (r = 152, t = 2 pi) taken as one step
+    @example(n_atoms=4, delta=0.5, g=0.5, ncut=40, steps=1, t=28.7, seed=0)
+    def test_engine_matches_dense_expm(self, n_atoms, delta, g, ncut, steps, t, seed):
+        h = build_hamiltonian(ModelParams(delta=delta, g=g, n_atoms=n_atoms), ncut).matrix
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+        v /= np.linalg.norm(v)
+        out, err = expm_checked(t, h, v, steps)
+        assert out.shape == (steps + 1, v.size) and err.shape == (steps + 1,)
+        for k, row in enumerate(out):
+            want = scipy.linalg.expm(-1j * (k * t / steps) * h.toarray()) @ v
+            assert np.linalg.norm(row - want) <= 1e-12
+        assert err[0] == 0 and err.max() <= 1e-8
+
+    @pytest.mark.parametrize("config", [{"study": "cat", "n_atoms": 16},
+                                        {"study": "convergence", "n_atoms": 8,
+                                         "delta": 0.02}])
+    def test_estimate_measures_truncation_on_study_grids(self, monkeypatch, tmp_path,
+                                                         config):
+        # the terms past the coarse window are small but never exactly
+        # zero: at most 5.5e-12 on the cat grid, 9.2e-14 on convergence's
+        seen = []
+        engine = evolver.expm_checked
+
+        def recording(*args, **kwargs):
+            out, err = engine(*args, **kwargs)
+            seen.append(err)
+            return out, err
+
+        monkeypatch.setattr(evolver, "expm_checked", recording)
+        run_scenario(ScenarioConfig.from_mapping(config, out_dir=str(tmp_path)))
+        [err] = seen
+        assert err.shape == (17,) and err[0] == 0
+        assert np.all(np.diff(err) > 0) and err[-1] <= 1e-8
 
     def test_state_driven_past_cutoff_raises(self):
         # at t = pi sector 0 is displaced by 2 N g = 3.2, to about
@@ -327,10 +374,9 @@ class TestEvolveExact:
         assert abs(out.norm - 1.0) <= 1e-9
 
     def test_subnormal_coupling_is_free_rotation(self):
-        # g = 1.18e-160 leaves subnormal entries in H; scipy's one-norm
-        # estimator warns on them, yet the checked result is the free
-        # rotation |alpha e^{-i t}> as at g = 0 (g = 2.36e-160 and t = 3
-        # at omega = 2)
+        # g = 1.18e-160 leaves subnormal entries in H; the checked result
+        # is still the free rotation |alpha e^{-i t}> as at g = 0
+        # (g = 2.36e-160 and t = 3 at omega = 2)
         p = ModelParams(delta=0.0, g=1.18e-160, n_atoms=1)
         ncut = choose_cutoff(p, 1.0, 0)
         st0 = JointState.from_product(coherent_state(1.0, ncut), chi_state(1), p)

@@ -500,6 +500,18 @@ class TestRunSweep:
             run_scenario(make_config(study="wigner", n_atoms=10**400,
                                      out_dir=str(tmp_path / "wigner")))
 
+    def test_spin_classical_refuses_sites_past_capacity(self, tmp_path):
+        # N = 10**400 tiled sites fit neither in memory nor in a C long;
+        # that point fails typed before anything is allocated, N = 2 runs
+        records, aggregate = run_sweep(make_config(
+            study="spin-classical", n_steps=2, sweep_axis="n_atoms",
+            sweep_values=[2, 10**400], out_dir=str(tmp_path)))
+        assert aggregate["partial"]
+        errors = [e.get("error") for e in aggregate["points"]]
+        assert errors[0] is None
+        assert errors[1].startswith("CapacityError")
+        assert records[0] is not None and records[1] is None
+
     def test_declared_fit_needs_enough_points(self, tmp_path):
         _, aggregate = run_sweep(make_config(
             study="convergence", delta=0.05, g=0.25, n_atoms=2, alpha=1.0,
