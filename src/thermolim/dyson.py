@@ -62,7 +62,7 @@ output, or a Fourier coefficient at the window edge l = M/2 above
 rounding when the window is wide enough (1.4e-16 of the largest at
 N = 16, g = 0.3), so a 1e-16 bar would trip on rounding alone.  The fine pass
 must keep its small-ladder tail below the cutoff budget, and the
-lab-frame field its own, else ``CutoffError``.
+lab-frame field its own and its norm (U_m is unitary), else ``CutoffError``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .fock import (
     _displacement_elements,
     _support,
 )
-from .propagator import _sector_map
+from .propagator import _require_kept, _sector_map
 
 __all__ = [
     "CorrectionRecord",
@@ -326,7 +326,8 @@ def _corrections(order: int, params: ModelParams, t: float, steps: int,
         sector, scale = (params.n_atoms - 2, -1j * v) if j == 1 else (params.n_atoms, -v * v)
         row_records = []
         for k in firsts if j == 1 else [steps]:
-            amps = scale * _sector_map(hi[k], sector, params, times[k], ncut)
+            amps = scale * _require_kept(
+                hi[k], _sector_map(hi[k], sector, params, times[k], ncut))
             field = FieldState(amps, normalized=False).require_tail()
             e = float(err[k])
             row_records.append(CorrectionRecord(

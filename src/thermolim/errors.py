@@ -36,8 +36,8 @@ class IntegrationError(ThermolimError):
     """An exponential-engine result failed its certification.
 
     Carries a ``diagnostics`` dict: ``error_estimate``, the largest
-    truncation estimate on the grid (the relative norm of the Chebyshev
-    terms past the coarse window, accumulated over the intervals), and
+    truncation estimate on the grid (the intervals times the Bessel tail
+    bound on the Chebyshev terms each drops, relative to the state), and
     ``drift`` when the norm check failed, so failures can be debugged.
     """
 

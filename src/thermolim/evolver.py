@@ -2,16 +2,16 @@
 
 The storage basis diagonalizes the dominant coupling: collective
 sigma-x sectors m = N - 2q label the columns, the Fock index labels the
-rows.  In that basis the Hamiltonian is the block diagonal of the
-sector Hamiltonians, in units of the mode frequency omega (g, Delta
-and t mean g/omega, Delta/omega and omega t),
+rows.  In units of the mode frequency omega (g, Delta and t mean
+g/omega, Delta/omega and omega t) the Hamiltonian is three Kronecker
+products, spin factor first,
 
-    H_m = a^dag a + g m (a + a^dag)     (tridiagonal in n),
+    H = I (x) n + g diag(m) (x) (a + a^dag) + (Delta/2) Sz_X (x) I,
 
-plus the splitting (Delta/2) Sz_X (tridiagonal across sectors), all
-real symmetric, so the sparse matrix is its own transpose exactly.
-With the splitting off the sectors do not couple, so
-:func:`evolve_exact` propagates only the occupied sectors; the empty
+the sector Hamiltonians on the diagonal blocks plus the splitting
+across sectors, real symmetric, so the sparse matrix is its own
+transpose exactly.  With the splitting off the sectors do not couple,
+so :func:`evolve_exact` propagates only the occupied sectors; the empty
 ones stay exactly empty.
 
 Every exponential e^{-iHt} in the package goes through
@@ -19,15 +19,14 @@ Every exponential e^{-iHt} in the package goes through
 J. Chem. Phys. 81, 3967, 1984) over an evenly spaced grid t_k = k t / n:
 the spectrum of H is bounded by Gershgorin discs, H is mapped onto
 [-1, 1] once, and each interval is one three-term recurrence whose
-Bessel coefficients all intervals share.  Each interval's sum is split
-at a coarse window; the terms between the coarse and the full window
-are the truncation that a shorter series would make, and their relative
-norm, accumulated along the grid, is the error estimate at each point.
-It must stay below 1e-8 and the norm must hold to 1e-9 at every point,
-or the run fails loudly.  :func:`evolve_grid` yields a whole trajectory
-from one such call; :func:`evolve_exact` is its one-interval case.  The
-Dyson terms (:mod:`dyson`) need no exponential: they are closed Fourier
-sums in the interaction frame.
+Bessel coefficients all intervals share.  The Bessel tail past the last
+term bounds the relative norm each interval drops; k times it is the
+error estimate at t_k.  It must stay below 1e-8, checked before any
+product, and the norm must hold to 1e-9 at every point, or the run
+fails loudly.  :func:`evolve_grid` builds H from the state and yields a
+whole trajectory from one such call; :func:`evolve_exact` is its
+one-interval case.  The Dyson terms (:mod:`dyson`) need no exponential:
+they are closed Fourier sums in the interaction frame.
 
 This module referees every closed-form and perturbative claim made by
 the rest of the package.
@@ -41,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import jv
 
-from .errors import CapacityError, DomainError, IntegrationError, ValidationError
+from .errors import CapacityError, DomainError, IntegrationError
 from .fock import CAPACITY_LIMIT, FieldState, ModelParams, _bessel_window, overlap
 from .spins import CollectiveState, sigma_z_coupling
 
@@ -49,7 +48,6 @@ __all__ = [
     "CAPACITY_LIMIT",
     "JointState",
     "HamiltonianSpec",
-    "sector_hamiltonian",
     "build_hamiltonian",
     "expm_checked",
     "evolve_grid",
@@ -120,33 +118,26 @@ class JointState:
 class HamiltonianSpec:
     """Sparse Hamiltonian of the joint model in the sector-major basis."""
 
-    params: ModelParams
-    ncut: int
     matrix: sp.spmatrix
 
 
-def sector_hamiltonian(params: ModelParams, m: int, ncut: int) -> sp.csr_matrix:
-    """H_m = n + g m (a + a^dag) on Fock levels 0..ncut: the field
-    Hamiltonian inside the sigma-x sector of eigenvalue m."""
-    n = np.arange(ncut + 1, dtype=float)
-    ladder = (params.g * m) * np.sqrt(n[1:])
-    return sp.diags([ladder, n, ladder], [-1, 0, 1], format="csr")
-
-
 def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
+    """The module's H on Fock levels 0..ncut, as one CSR matrix."""
     if ncut < 4:
         raise DomainError(f"need ncut >= 4, got {ncut}")
     dimf, dims = ncut + 1, params.n_atoms + 1
     if dimf * dims > CAPACITY_LIMIT:
         raise CapacityError(
             f"state dimension {dimf * dims} exceeds limit {CAPACITY_LIMIT}")
-    sectors = sp.block_diag([sector_hamiltonian(params, params.n_atoms - 2 * q, ncut)
-                             for q in range(dims)], format="csr")
+    n = np.arange(dimf, dtype=float)
+    root, m = np.sqrt(n[1:]), params.n_atoms - 2.0 * np.arange(dims)
     w = sigma_z_coupling(params.n_atoms)
-    szx = sp.diags([w, w], [1, -1])
-    splitting = sp.kron((params.delta / 2.0) * szx, sp.identity(dimf), format="csr")
-    return HamiltonianSpec(params=params, ncut=ncut,
-                           matrix=(sectors + splitting).tocsr())
+    field = sp.kron(sp.identity(dims), sp.diags(n), format="csr")
+    coupling = sp.kron(sp.diags(params.g * m), sp.diags([root, root], [-1, 1]),
+                       format="csr")
+    splitting = sp.kron((params.delta / 2.0) * sp.diags([w, w], [1, -1]),
+                        sp.identity(dimf), format="csr")
+    return HamiltonianSpec(matrix=field + coupling + splitting)
 
 
 def expm_checked(t: float, h, v: np.ndarray,
@@ -163,12 +154,12 @@ def expm_checked(t: float, h, v: np.ndarray,
     x = r dt; the intervals share the coefficients (one ``jv`` call) and
     each costs K sparse products with H~.
 
-    Each interval's sum is also read off at the coarse window of margin 15.
-    The terms past it are the error of that shorter series, far above the
-    full series' own, and their norm relative to the interval's result
-    costs no extra product.  Accumulated along the grid it is the
-    error estimate at each point, which measures truncation: it is zero
-    only where those terms underflow.  Returns the states, shape
+    The terms an interval drops are at most 2 sum_{n>K} |J_n(x)| of |u|;
+    past n = x the ratio |J_{n+1} / J_n| falls, so the geometric series on
+    the first ratio bounds them by tail = 2 |J_{K+1}| / (1 - |J_{K+2} / J_{K+1}|),
+    zero where J_{K+1} underflows.  The error estimate at t_k is k tail,
+    at no product's cost; above 1e-8 it raises :class:`IntegrationError`
+    before any product is taken.  Returns the states, shape
     (steps + 1, v.size), and the estimates, shape (steps + 1,).
 
     Every row must keep the norm of ``v``; a drift beyond 1e-9 at any grid
@@ -183,14 +174,21 @@ def expm_checked(t: float, h, v: np.ndarray,
     h2 = (2 / r * (h - c * sp.identity(v.size, format="csr"))).astype(np.complex128)
     dt = t / steps
     x = r * dt
-    coarse, last = _bessel_window(x, 15), _bessel_window(x)
+    last = _bessel_window(x)
+    bessel = jv(np.arange(last + 3), x)
+    first, second = abs(bessel[-2]), abs(bessel[-1])
+    tail = 2 * first / (1 - second / first) if first > 0 else 0.0
+    err = tail * np.arange(steps + 1)
+    if not err[-1] <= _ESTIMATE_TOL:
+        raise IntegrationError(
+            f"truncation estimate {err[-1]:.3e} exceeds 1e-8",
+            diagnostics={"error_estimate": float(err[-1])})
     n = np.arange(last + 1)
-    coef = np.exp(-1j * c * dt) * np.array([1, -1j, -1, 1j])[n % 4] * jv(n, x)
+    coef = np.exp(-1j * c * dt) * np.array([1, -1j, -1, 1j])[n % 4] * bessel[:-2]
     coef[1:] *= 2
 
     out = np.empty((steps + 1, v.size), dtype=np.complex128)
     out[0] = v
-    err = np.zeros(steps + 1)
     for j in range(steps):
         prev = out[j]
         cur = h2 @ prev
@@ -201,24 +199,21 @@ def expm_checked(t: float, h, v: np.ndarray,
             nxt -= prev
             acc += coef[i] * nxt
             prev, cur = cur, nxt
-            if i == coarse:
-                short = acc.copy()
         out[j + 1] = acc
-        err[j + 1] = err[j] + (np.linalg.norm(acc - short)
-                               / max(np.linalg.norm(acc), 1e-300))
     norm0 = np.linalg.norm(v)
     drift = float(max(abs(np.linalg.norm(row) - norm0) for row in out))
     if not drift <= _NORM_TOL:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-9",
-                               diagnostics={"error_estimate": float(np.max(err)),
+                               diagnostics={"error_estimate": float(err[-1]),
                                             "drift": drift})
     return out, err
 
 
-def evolve_grid(state: JointState, t: float, steps: int, spec: HamiltonianSpec):
-    """Propagate under the full Hamiltonian over the grid t_k = k t / steps,
-    k = 0..steps, in one :func:`expm_checked` call; yields the state at
-    each t_k in turn, the first being ``state`` itself.
+def evolve_grid(state: JointState, t: float, steps: int):
+    """Propagate under the Hamiltonian of ``state``'s params and cutoff
+    over the grid t_k = k t / steps, k = 0..steps, in one
+    :func:`expm_checked` call; yields the state at each t_k in turn, the
+    first being ``state`` itself.
 
     With Delta = 0 the Hamiltonian is block diagonal in the sectors, so
     only the occupied sectors (columns holding a nonzero amplitude) are
@@ -226,34 +221,27 @@ def evolve_grid(state: JointState, t: float, steps: int, spec: HamiltonianSpec):
     the splitting links every sector to its neighbours and all are
     propagated.
 
-    At every grid point the truncation estimate must stay within 1e-8 and
-    the norm within 1e-9, else an :class:`IntegrationError` carries the
-    diagnostics; each yielded state is built from its grid row only when
-    it is yielded, and its field marginal must pass the Fock tail check
-    of :meth:`FieldState.require_tail`."""
+    At every grid point the Bessel tail bound of the truncation must stay
+    within 1e-8 and the norm within 1e-9, else an :class:`IntegrationError`
+    carries the diagnostics; each yielded state is built from its grid row
+    only when it is yielded, and its field marginal must pass the Fock
+    tail check of :meth:`FieldState.require_tail`."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
-    if spec.ncut != state.ncut or spec.params != state.params:
-        raise ValidationError("state and Hamiltonian disagree on dimensions or params")
+    h, v0 = build_hamiltonian(state.params, state.ncut).matrix, state.vector()
     yield state
     if t == 0:
         for _ in range(steps):
             yield state
         return
-    h, v0 = spec.matrix, state.vector()
     rows = slice(None)
     occupied = np.any(state.amplitudes != 0, axis=0)
     if state.params.delta == 0 and not occupied.all():
         rows = np.repeat(occupied, state.ncut + 1)  # sector-major: q on a block of rows
         h, v0 = h[rows][:, rows], v0[rows]
-    out, err = expm_checked(t, h, v0, steps=steps)
-    worst = float(np.max(err))
-    if not worst <= _ESTIMATE_TOL:
-        raise IntegrationError(
-            f"truncation estimate {worst:.3e} exceeds 1e-8",
-            diagnostics={"error_estimate": worst})
+    out, _ = expm_checked(t, h, v0, steps=steps)
     for row in out[1:]:
         full = np.zeros(state.amplitudes.size, dtype=np.complex128)
         full[rows] = row
@@ -262,10 +250,10 @@ def evolve_grid(state: JointState, t: float, steps: int, spec: HamiltonianSpec):
         yield point
 
 
-def evolve_exact(state: JointState, t: float, spec: HamiltonianSpec) -> JointState:
+def evolve_exact(state: JointState, t: float) -> JointState:
     """Propagate under the full Hamiltonian for time t: the last point of
     :func:`evolve_grid` over one interval, with all of its checks."""
-    *_, out = evolve_grid(state, t, 1, spec)
+    *_, out = evolve_grid(state, t, 1)
     return out
 
 

@@ -31,7 +31,6 @@ from .dyson import (
 from .errors import CapacityError, ThermolimError, ValidationError
 from .evolver import (
     JointState,
-    build_hamiltonian,
     evolve_grid,
     fidelity,
     project_chi,
@@ -412,7 +411,7 @@ def _exact_trajectory(config: ScenarioConfig, kind: str, field0: FieldState):
     p = config.params
     chi = chi_state(p.n_atoms)
     states = evolve_grid(JointState.from_product(field0, chi, p), config.t_max,
-                         config.n_steps, build_hamiltonian(p, field0.ncut))
+                         config.n_steps)
     for t, state in zip(_time_grid(config), states):
         yield (t, state, project_chi(state, chi),
                _leading_field(config, kind, t, field0.ncut))

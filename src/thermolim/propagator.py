@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CutoffError, DomainError
 from .fock import (
+    TAIL_TOL,
     FieldState,
     ModelParams,
     _displacement_elements,
@@ -105,12 +106,24 @@ def _sector_map(x: np.ndarray, m: int, params: ModelParams, t: float,
     return cmath.exp(1j * xi) * np.exp(-1j * t * n) * out
 
 
+def _require_kept(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Return ``out``, the image of ``x`` under the unitary U_m(t) on 0..ncut;
+    raise :class:`CutoffError` if it lacks over ``TAIL_TOL`` of |x|^2 (gone past ncut)."""
+    before = float(np.vdot(x, x).real)
+    lost = before - float(np.vdot(out, out).real)
+    if lost > TAIL_TOL * before:
+        raise CutoffError(
+            f"sector map lost {lost / before:.3e} of |x|^2; increase ncut={out.size - 1}")
+    return out
+
+
 def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) -> FieldState:
     """Apply the sector propagator U_m(t) to a field state: the
     displacement acts first, then the free rotation, then the scalar
     phase.  The result is the raw linear image (no renormalization);
-    truncation leakage is certified by the tail check."""
-    amps = _sector_map(state.amplitudes, m, params, t, state.ncut)
+    truncation leakage is certified by the lost norm and the tail check."""
+    amps = _require_kept(state.amplitudes,
+                         _sector_map(state.amplitudes, m, params, t, state.ncut))
     out = FieldState(amps, normalized=bool(abs(np.linalg.norm(amps) - 1.0) <= 1e-10))
     out.require_tail()
     return out

@@ -197,11 +197,11 @@ def van_loan_corrections(params, t: float, steps: int,
     return v * rows[:, dim: dim + ncut + 1], v * v * rows[:, : ncut + 1]
 
 
-def short_bessel_window(x, margin=30):
-    """The Bessel window ceil(x + margin + (margin / 3) x^(1/3)) without
-    its constant margin: a Chebyshev series cut there can keep its norm
-    to 1e-9 while it drops terms of order 1e-6."""
-    return math.ceil(x + margin / 3 * x ** (1 / 3))
+def short_bessel_window(x):
+    """The Bessel window ceil(x + 30 + 10 x^(1/3)) cut to
+    ceil(x + 5 x^(1/3)): a Chebyshev series ending there drops terms of
+    order 1e-6 at x ~ 130."""
+    return math.ceil(x + 5 * x ** (1 / 3))
 
 
 def leaky_jv(n, x):

@@ -17,8 +17,7 @@ import pytest
 
 from conftest import displacement_expm, displacement_series_mp
 from thermolim.dyson import first_order_correction
-from thermolim.evolver import JointState, build_hamiltonian, evolve_exact, \
-    fidelity, project_chi
+from thermolim.evolver import JointState, evolve_exact, fidelity, project_chi
 from thermolim.fock import (
     FieldState,
     ModelParams,
@@ -59,7 +58,6 @@ def test_zero_detuning_closed_form_is_exact():
         for g in [0.1, 0.25]:
             p = ModelParams(delta=0.0, g=g, n_atoms=n)
             ncut = choose_cutoff(p, 2.0, 0)
-            spec = build_hamiltonian(p, ncut)
             chi = chi_state(n)
             for alpha in [1.0, 2.0]:
                 for phi in [math.pi / 4, math.pi / 2]:
@@ -67,7 +65,7 @@ def test_zero_detuning_closed_form_is_exact():
                         cat_state(alpha, phi, ncut)[0], chi, p)
                     prev = 0.0
                     for t in times:
-                        state = evolve_exact(state, t - prev, spec)
+                        state = evolve_exact(state, t - prev)
                         prev = t
                         lead = evolve_cat_leading(p, alpha, phi, t, ncut)
                         worst = min(worst, fidelity(lead, project_chi(state, chi)))
@@ -212,9 +210,8 @@ def test_detuning_transfer_scaling_with_atom_number():
     for n in sizes:
         p = ModelParams(delta=0.02, g=0.3, n_atoms=n)
         ncut = choose_cutoff(p, 0.0, 0)
-        spec = build_hamiltonian(p, ncut)
         state = JointState.from_product(vacuum(ncut), chi_state(n), p)
-        out = evolve_exact(state, math.pi, spec)
+        out = evolve_exact(state, math.pi)
         amps.append(float(np.linalg.norm(
             project_chi(out, chi_prime_state(n)).amplitudes)))
         if n == 2:
@@ -241,10 +238,9 @@ def test_leading_order_error_scales_quadratically():
     for delta in deltas:
         p = ModelParams(delta=delta, g=0.25, n_atoms=4)
         ncut = choose_cutoff(p, alpha, 0)
-        spec = build_hamiltonian(p, ncut)
         field0, _ = cat_state(alpha, phi, ncut)
         chi = chi_state(4)
-        out = evolve_exact(JointState.from_product(field0, chi, p), math.pi, spec)
+        out = evolve_exact(JointState.from_product(field0, chi, p), math.pi)
         proj = project_chi(out, chi)
         deficits.append(1.0 - float(np.linalg.norm(proj.amplitudes) ** 2))
 

@@ -27,8 +27,8 @@ from thermolim.dyson import (
     scaling_fit,
     second_order_correction,
 )
-from thermolim.errors import DomainError, QuadratureError
-from thermolim.evolver import JointState, build_hamiltonian, evolve_exact
+from thermolim.errors import CutoffError, DomainError, QuadratureError
+from thermolim.evolver import JointState, evolve_exact
 from thermolim.fock import (
     FieldState,
     ModelParams,
@@ -223,9 +223,8 @@ class TestFirstOrderCorrection:
         p = params_for(2, 0.3, delta=0.02)
         ncut = choose_cutoff(p, 0.0, 0)
         t = math.pi
-        spec = build_hamiltonian(p, ncut)
         joint = JointState.from_product(vacuum(ncut), chi_state(2), p)
-        out = evolve_exact(joint, t, spec)
+        out = evolve_exact(joint, t)
         exact_amp = float(np.linalg.norm(out.amplitudes[:, 1]))
         rec = first_order_correction(p, t, vacuum(ncut))
         assert rec.converged
@@ -413,6 +412,15 @@ class TestCorrectionChecks:
             assert rec.converged
             assert rec.diagnostics["error_estimate"] <= 1e-8
 
+    def test_displacement_past_cutoff_raises(self):
+        # at N = 512, g = 0.3 and t = pi the lab-frame fields sit near
+        # |beta| = 306, far above a 674-level cutoff (choose_cutoff asks
+        # for 106 779); the map back loses all of their norm
+        p = params_for(512, 0.3, delta=0.02)
+        for correction in (first_order_correction, second_order_correction):
+            with pytest.raises(CutoffError, match="lost"):
+                correction(p, math.pi, vacuum(674))
+
     @staticmethod
     def faulty_pass(monkeypatch, fault):
         """Route every interaction-frame pass through ``fault(out, fine)``;
@@ -570,9 +578,8 @@ class TestPerturbativeConsistency:
         for delta in [0.025, 0.05]:
             p = params_for(2, 0.3, delta=delta)
             ncut = choose_cutoff(p, 0.0, 0)
-            spec = build_hamiltonian(p, ncut)
             joint = JointState.from_product(vacuum(ncut), chi_state(2), p)
-            out = evolve_exact(joint, math.pi, spec)
+            out = evolve_exact(joint, math.pi)
             lead = evolve_fock_leading(p, 0, math.pi, ncut)
             r1 = first_order_correction(p, math.pi, vacuum(ncut))
             r2 = second_order_correction(p, math.pi, vacuum(ncut))

@@ -22,7 +22,6 @@ from thermolim.errors import (
     CutoffError,
     DomainError,
     IntegrationError,
-    ValidationError,
 )
 from thermolim.evolver import (
     JointState,
@@ -53,9 +52,9 @@ def sector_probabilities(state):
     return np.sum(np.abs(state.amplitudes) ** 2, axis=0)
 
 
-def energy(state, spec):
+def energy(state, h):
     v = state.vector()
-    return float(np.real(np.vdot(v, spec.matrix @ v)))
+    return float(np.real(np.vdot(v, h @ v)))
 
 
 # ------------------------------------------------------------- hamiltonian
@@ -143,9 +142,8 @@ class TestJointState:
 class TestEvolveExact:
     def test_zero_time_is_identity(self):
         p = params_for(2, 0.2, delta=0.3)
-        spec = build_hamiltonian(p, 20)
         st = cat_chi_initial(p, 1.0, 0.5, 20)
-        out = evolve_exact(st, 0.0, spec)
+        out = evolve_exact(st, 0.0)
         np.testing.assert_array_equal(out.amplitudes, st.amplitudes)
 
     def test_split_off_sectors_match_leading_order(self):
@@ -153,10 +151,9 @@ class TestEvolveExact:
         for n in (2, 4):
             p = params_for(n, 0.25)
             ncut = choose_cutoff(p, 2.0, 0)
-            spec = build_hamiltonian(p, ncut)
             st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
             for t in (1.3, math.pi):
-                out = evolve_exact(st, t, spec)
+                out = evolve_exact(st, t)
                 proj = project_chi(out, chi_state(n))
                 lead = evolve_cat_leading(p, 2.0, math.pi / 2, t, ncut)
                 assert fidelity(proj, lead) >= 1 - 1e-8
@@ -165,9 +162,8 @@ class TestEvolveExact:
         # N<=3: full 2^N-basis expm oracle, including the embedding map
         n, ncut, t = 3, 30, 1.1
         p = ModelParams(delta=0.4, g=0.3, n_atoms=n)
-        spec = build_hamiltonian(p, ncut)
         st = cat_chi_initial(p, 0.8, 0.9, ncut)
-        out = evolve_exact(st, t, spec)
+        out = evolve_exact(st, t)
         emb = symmetric_sector_embedding(n, ncut)
         h_full = product_space_hamiltonian(0.4, 0.3, n, ncut)
         u = scipy.linalg.expm(-1j * t * h_full)
@@ -182,10 +178,9 @@ class TestEvolveExact:
         # propagation must still match the 2^N oracle and leave 1 and 3 empty
         n, ncut, t = 3, 30, 1.1
         p = ModelParams(delta=0.0, g=0.3, n_atoms=n)
-        spec = build_hamiltonian(p, ncut)
         spin = CollectiveState(np.array([0.6, 0.0, 0.8j, 0.0]))
         st = JointState.from_product(coherent_state(0.8 * np.exp(0.9j), ncut), spin, p)
-        out = evolve_exact(st, t, spec)
+        out = evolve_exact(st, t)
         emb = symmetric_sector_embedding(n, ncut)
         u = scipy.linalg.expm(-1j * t * product_space_hamiltonian(0.0, 0.3, n, ncut))
         np.testing.assert_allclose(emb @ out.vector(), u @ (emb @ st.vector()), atol=1e-10)
@@ -206,9 +201,9 @@ class TestEvolveExact:
             min_size=len(occupied), max_size=len(occupied)))
         spin = CollectiveState(amps / np.linalg.norm(amps))
         st0 = JointState.from_product(coherent_state(alpha, ncut), spin, p)
-        spec = build_hamiltonian(p, ncut)
-        out = evolve_exact(st0, t, spec)
-        want = scipy.linalg.expm(-1j * t * spec.matrix.toarray()) @ st0.vector()
+        out = evolve_exact(st0, t)
+        h = build_hamiltonian(p, ncut).matrix
+        want = scipy.linalg.expm(-1j * t * h.toarray()) @ st0.vector()
         np.testing.assert_allclose(out.vector(), want, rtol=0, atol=1e-10)
         empty = np.setdiff1d(np.arange(n_atoms + 1), occupied)
         np.testing.assert_array_equal(out.amplitudes[:, empty], 0)
@@ -216,20 +211,19 @@ class TestEvolveExact:
     def test_energy_conserved(self):
         p = ModelParams(delta=0.3, g=0.25, n_atoms=4)
         ncut = choose_cutoff(p, 2.0, 0)
-        spec = build_hamiltonian(p, ncut)
+        h = build_hamiltonian(p, ncut).matrix
         st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
-        e0 = energy(st, spec)
-        out = evolve_exact(st, 2.7, spec)
-        assert energy(out, spec) == pytest.approx(e0, rel=1e-8)
+        e0 = energy(st, h)
+        out = evolve_exact(st, 2.7)
+        assert energy(out, h) == pytest.approx(e0, rel=1e-8)
 
     def test_sector_occupations_frozen_without_splitting(self):
         p = params_for(3, 0.2)
         ncut = 40
-        spec = build_hamiltonian(p, ncut)
         spin = CollectiveState(np.array([0.5, 0.5, 0.5, 0.5]))
         st = JointState.from_product(coherent_state(1.0, ncut), spin, p)
         before = sector_probabilities(st)
-        after = sector_probabilities(evolve_exact(st, 2.0, spec))
+        after = sector_probabilities(evolve_exact(st, 2.0))
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_splitting_leakage_scales_quadratically(self):
@@ -239,9 +233,8 @@ class TestEvolveExact:
         deficits = []
         for d in deltas:
             p = ModelParams(delta=d, g=0.25, n_atoms=4)
-            spec = build_hamiltonian(p, ncut)
             st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
-            out = evolve_exact(st, math.pi, spec)
+            out = evolve_exact(st, math.pi)
             proj = project_chi(out, chi_state(4))
             deficits.append(1.0 - float(np.linalg.norm(proj.amplitudes)) ** 2)
         slope = np.polyfit(np.log(deltas), np.log(deficits), 1)[0]
@@ -255,9 +248,8 @@ class TestEvolveExact:
         for n in (2, 8):
             p = ModelParams(delta=0.05, g=0.25, n_atoms=n)
             ncut = choose_cutoff(p, 2.0, 0)
-            spec = build_hamiltonian(p, ncut)
             st = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
-            out = evolve_exact(st, math.pi, spec)
+            out = evolve_exact(st, math.pi)
             proj = project_chi(out, chi_state(n))
             lead = evolve_cat_leading(p, 2.0, math.pi / 2, math.pi, ncut)
             infids[n] = 1.0 - fidelity(proj, lead)
@@ -273,40 +265,40 @@ class TestEvolveExact:
         # has more, and reads several points off one Taylor expansion.
         p = params_for(n_atoms, 0.25, delta=delta)
         ncut = choose_cutoff(p, 2.0, 0)
-        spec = build_hamiltonian(p, ncut)
         state = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
         t = 2 * math.pi
-        grid = list(evolve_grid(state, t, steps, spec))
+        grid = list(evolve_grid(state, t, steps))
         assert len(grid) == steps + 1 and grid[0] is state
         for point in grid[1:]:
-            state = evolve_exact(state, t / steps, spec)
+            state = evolve_exact(state, t / steps)
             assert np.linalg.norm(point.amplitudes - state.amplitudes) <= 1e-12
 
     def test_grid_rejects_empty_grid(self):
         p = params_for(2, 0.2)
         st = cat_chi_initial(p, 1.0, 0.5, 20)
         with pytest.raises(DomainError, match="steps"):
-            next(evolve_grid(st, 1.0, 0, build_hamiltonian(p, 20)))
+            next(evolve_grid(st, 1.0, 0))
 
     @pytest.mark.parametrize("delta", [0.0, 0.4])
     def test_nonconvergence_raises_with_diagnostics(self, monkeypatch, delta):
-        # a Bessel window cut short keeps the norm but truncates, which
-        # only the estimate sees; Bessel values shrunk by 1e-6 leak norm
-        # per interval; both must raise with diagnostics, on the
-        # occupied-sector path (Delta = 0) as on the full one
+        # a Bessel window cut short truncates: its tail bound raises
+        # before any product, so the norm check, which real truncation
+        # trips too, never runs; Bessel values shrunk by 1e-6 leak norm
+        # per interval with the window intact; both must raise with
+        # diagnostics, on the occupied-sector path (Delta = 0) as on the
+        # full one
         p = ModelParams(delta=delta, g=0.3, n_atoms=4)
-        spec = build_hamiltonian(p, 30)
         st = cat_chi_initial(p, 1.5, 0.7, 30)
         with monkeypatch.context() as patch:
             patch.setattr(evolver, "_bessel_window", short_bessel_window)
             with pytest.raises(IntegrationError, match="truncation") as err:
-                evolve_exact(st, 6.0, spec)
+                evolve_exact(st, 6.0)
         assert err.value.diagnostics["error_estimate"] > 1e-8
         assert "drift" not in err.value.diagnostics
         with monkeypatch.context() as patch:
             patch.setattr(evolver, "jv", leaky_jv)
             with pytest.raises(IntegrationError, match="norm drift") as err:
-                evolve_exact(st, 6.0, spec)
+                evolve_exact(st, 6.0)
         assert err.value.diagnostics["drift"] > 1e-9
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -333,8 +325,8 @@ class TestEvolveExact:
                                          "delta": 0.02}])
     def test_estimate_measures_truncation_on_study_grids(self, monkeypatch, tmp_path,
                                                          config):
-        # the terms past the coarse window are small but never exactly
-        # zero: at most 5.5e-12 on the cat grid, 9.2e-14 on convergence's
+        # the Bessel tail bound is tiny but not zero: 3.2e-30 at the end
+        # of the cat grid, 2.3e-35 at the end of convergence's
         seen = []
         engine = evolver.expm_checked
 
@@ -349,14 +341,24 @@ class TestEvolveExact:
         assert err.shape == (17,) and err[0] == 0
         assert np.all(np.diff(err) > 0) and err[-1] <= 1e-8
 
+    def test_long_interval_matches_fine_grid(self):
+        # r t = 2865 in one interval: the tail past the window is 3.6e-19,
+        # and the state agrees with a 32-interval run
+        p = params_for(16, 0.25)
+        ncut = choose_cutoff(p, 2.0, 0)
+        st = cat_chi_initial(p, 2.0, 1.2, ncut)
+        t = 6 * math.pi
+        *_, fine = evolve_grid(st, t, 32)
+        out = evolve_exact(st, t)
+        assert np.linalg.norm(out.amplitudes - fine.amplitudes) <= 1e-11
+
     def test_state_driven_past_cutoff_raises(self):
         # at t = pi sector 0 is displaced by 2 N g = 3.2, to about
         # 18 photons: the top of a 20-level ladder
         p = params_for(4, 0.4)
-        spec = build_hamiltonian(p, 20)
         st = JointState.from_product(coherent_state(1.0, 20), chi_state(4), p)
         with pytest.raises(CutoffError, match="tail mass"):
-            evolve_exact(st, math.pi, spec)
+            evolve_exact(st, math.pi)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n_atoms=st.integers(1, 4), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),
@@ -370,7 +372,7 @@ class TestEvolveExact:
         amps = np.array(spin[: n_atoms + 1]) + 2 * np.eye(n_atoms + 1)[0]
         spin_state = CollectiveState(amps / np.linalg.norm(amps))
         st0 = JointState.from_product(coherent_state(alpha, ncut), spin_state, p)
-        out = evolve_exact(st0, t, build_hamiltonian(p, ncut))
+        out = evolve_exact(st0, t)
         assert abs(out.norm - 1.0) <= 1e-9
 
     def test_subnormal_coupling_is_free_rotation(self):
@@ -380,24 +382,16 @@ class TestEvolveExact:
         p = ModelParams(delta=0.0, g=1.18e-160, n_atoms=1)
         ncut = choose_cutoff(p, 1.0, 0)
         st0 = JointState.from_product(coherent_state(1.0, ncut), chi_state(1), p)
-        out = evolve_exact(st0, 6.0, build_hamiltonian(p, ncut))
+        out = evolve_exact(st0, 6.0)
         want = coherent_state(np.exp(-6j), ncut)
         got = project_chi(out, chi_state(1))
         np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
 
     def test_negative_time_rejected(self):
         p = params_for(2, 0.2)
-        spec = build_hamiltonian(p, 20)
         st = cat_chi_initial(p, 1.0, 0.5, 20)
         with pytest.raises(DomainError):
-            evolve_exact(st, -1.0, spec)
-
-    def test_mismatched_spec_rejected(self):
-        p = params_for(2, 0.2)
-        spec = build_hamiltonian(p, 25)
-        st = cat_chi_initial(p, 1.0, 0.5, 20)
-        with pytest.raises(ValidationError):
-            evolve_exact(st, 1.0, spec)
+            evolve_exact(st, -1.0)
 
 
 # -------------------------------------------------------------- projection
@@ -420,9 +414,8 @@ class TestProjectChi:
     def test_leakage_norm_is_sector_probability(self):
         p = ModelParams(delta=0.1, g=0.25, n_atoms=2)
         ncut = choose_cutoff(p, 1.0, 0)
-        spec = build_hamiltonian(p, ncut)
         st = cat_chi_initial(p, 1.0, 0.4, ncut)
-        out = evolve_exact(st, 2.0, spec)
+        out = evolve_exact(st, 2.0)
         amp = float(np.linalg.norm(project_chi(out, chi_prime_state(2)).amplitudes))
         assert 0 < amp < 1
         # chi and chi' plus the remaining sectors exhaust the norm

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from thermolim.errors import DomainError
+from thermolim.errors import CutoffError, DomainError
 from thermolim.fock import (
     FieldState,
     ModelParams,
@@ -180,6 +180,15 @@ class TestApplyUfSector:
 
 
 # ----------------------------------------------------- leading-order states
+
+    def test_displacement_past_cutoff_raises(self):
+        # sector 510 of N = 512 at g = 0.3 displaces the vacuum to
+        # |beta| = 306 at t = pi, about 94 000 photons: nothing is left on
+        # levels 0..674, not even in the tail band
+        p = params_for(512, 0.3, delta=0.02)
+        with pytest.raises(CutoffError, match="lost 1.000e\\+00"):
+            apply_uf_sector(coherent_state(0.0, 674), 510, p, math.pi)
+
 
 class TestEvolveCatLeading:
     def test_initial_time_recovers_cat(self):
