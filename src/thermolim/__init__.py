@@ -61,6 +61,7 @@ from .wigner import (
     interference_phase_offset,
     time_average,
     w_int_closed,
+    w_int_mean,
     wigner_numeric,
 )
 from .evolver import (

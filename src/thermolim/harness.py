@@ -58,6 +58,7 @@ from .wigner import (
     save_wgrd,
     time_average,
     w_int_closed,
+    w_int_mean,
     wigner_numeric,
 )
 
@@ -458,7 +459,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
                      fit_interference_offset(w, p, a, ph, t)))
 
     averaged, report = time_average(
-        lambda t: w_int_closed(p, a, ph, t, grid), (0.0, config.t_max))
+        lambda ts: w_int_mean(p, a, ph, ts, grid), (0.0, config.t_max))
     flags = []
     if not report.converged:
         flags.append(f"time average not converged: change {report.max_change:.3e} "

@@ -32,6 +32,7 @@ __all__ = [
     "default_grid",
     "wigner_numeric",
     "w_int_closed",
+    "w_int_mean",
     "interference_phase_offset",
     "fit_interference_offset",
     "count_time_zero_crossings",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 MAX_SPACING = 0.25  # resolves unit-variance Gaussian envelopes
+_TIME_BLOCK = 32  # times per GEMM in w_int_mean; bounds the factor stacks
 _WGRD_MAGIC = b"WGRD"
 _WGRD_VERSION = 2  # tag 0 marks version 1: float32 bounds only
 
@@ -258,27 +260,60 @@ def interference_phase_offset(params: ModelParams, alpha: float, phi: float,
             * math.sin(phi) * (1.0 - math.cos(t)))
 
 
-def _fringe_factors(params: ModelParams, alpha: float, phi: float, t: float,
+def _fringe_factors(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
                     grid: WignerGrid) -> tuple[np.ndarray, np.ndarray]:
     """1-D complex factors of the interference term over the grid axes,
+    one row per time t in ``ts``:
 
         fx = exp[-(x-xb)^2 - i k cos(t) x],  fp = exp[-(p-pb)^2 + i k sin(t) p],
 
-    with k = 2 sqrt2 a sin(phi) and (xb, pb) the branch midpoint, so that
-    envelope * e^{i fringe phase} = fx[:, None] * fp[None, :]."""
-    fr = frame(params, alpha, phi, t)
-    mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
-    xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
+    with k = 2 sqrt2 a sin(phi) and (xb, pb) the branch midpoint at t, so
+    that envelope * e^{i fringe phase} = fx[i, :, None] * fp[i, None, :]
+    at ts[i].  Returns the (n, nx) and (n, np) stacks."""
+    ts = np.asarray(ts, dtype=np.float64).ravel().tolist()
+    mids = np.array([frame(params, alpha, phi, t).beta_prime
+                     + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
+                     for t in ts])
+    xb, pb = math.sqrt(2) * mids.real[:, None], math.sqrt(2) * mids.imag[:, None]
     k = 2.0 * math.sqrt(2) * alpha * math.sin(phi)
+    kc = np.array([k * math.cos(t) for t in ts])[:, None]
+    ks = np.array([k * math.sin(t) for t in ts])[:, None]
     x, p = grid.x_axis, grid.p_axis
-    fx = np.exp(-((x - xb) ** 2) - 1j * (k * math.cos(t)) * x)
-    fp = np.exp(-((p - pb) ** 2) + 1j * (k * math.sin(t)) * p)
+    fx = np.exp(-((x - xb) ** 2) - 1j * kc * x)
+    fp = np.exp(-((p - pb) ** 2) + 1j * ks * p)
     return fx, fp
 
 
 def _re_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re[u (x) v] as one real rank-2 GEMM; much faster than np.outer."""
+    """Re[u @ v] for u (nx,) or (nx, n) and v (np,) or (n, np), as one
+    real GEMM [Re u, -Im u] @ [Re v; Im v]; a 1-D pair is the rank-1
+    outer product, much faster than np.outer."""
     return np.column_stack([u.real, -u.imag]) @ np.vstack([v.real, v.imag])
+
+
+def w_int_mean(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
+               grid: WignerGrid) -> WignerGrid:
+    """Mean of the closed-form interference term (see :func:`w_int_closed`)
+    over the times ``ts``:
+
+        Re[FX^T diag(c) FP] / n,  c_i = (2/pi) e^{i offset(t_i)},
+
+    with FX, FP the stacks of :func:`_fringe_factors`.  The times go in
+    blocks of 32, each one real GEMM [Re, -Im] @ [Re; Im] of inner size
+    64 added into the sum, so the factor stacks stay small next to the
+    grid."""
+    ts = np.asarray(ts, dtype=np.float64).ravel()
+    if ts.size == 0:
+        raise DomainError("need at least one time to average over")
+    total = np.zeros((grid.nx, grid.np))
+    for i0 in range(0, ts.size, _TIME_BLOCK):
+        block = ts[i0:i0 + _TIME_BLOCK]
+        fx, fp = _fringe_factors(params, alpha, phi, block, grid)
+        c = (2.0 / math.pi) * np.exp(1j * np.array(
+            [interference_phase_offset(params, alpha, phi, t) for t in block.tolist()]))
+        total += _re_outer((c[:, None] * fx).T, fp)
+    total /= ts.size
+    return grid.with_values(total)
 
 
 def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
@@ -291,11 +326,10 @@ def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
 
     centered on the branch midpoint m = beta' + a cos(phi) e^{-i t}
     (xb = sqrt2 Re m, pb = sqrt2 Im m), with ``offset`` from
-    interference_phase_offset.  Evaluated as Re[c fx (x) fp] with
-    c = (2/pi) e^{i offset} and the 1-D factors of :func:`_fringe_factors`."""
-    fx, fp = _fringe_factors(params, alpha, phi, t, grid)
-    c = (2.0 / math.pi) * np.exp(1j * interference_phase_offset(params, alpha, phi, t))
-    return grid.with_values(_re_outer(c * fx, fp))
+    interference_phase_offset.  The one-time case of :func:`w_int_mean`:
+    Re[c fx (x) fp] with c = (2/pi) e^{i offset} and the 1-D factors of
+    :func:`_fringe_factors`, one rank-2 real GEMM."""
+    return w_int_mean(params, alpha, phi, np.array([t]), grid)
 
 
 def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
@@ -303,7 +337,8 @@ def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
     """Recover the constant fringe phase from an interference grid by
     envelope-weighted least squares against the known linear part.
     Returns the principal value in (-pi, pi]."""
-    fx, fp = _fringe_factors(params, alpha, phi, t, grid)
+    fx, fp = _fringe_factors(params, alpha, phi, [t], grid)
+    fx, fp = fx[0], fp[0]
     # vals = env (cos lin cos c - sin lin sin c) = Re[e^{ic} (2/pi) fx (x) fp]:
     # 2x2 normal equations on the bases a1 = Re, a2 = -Im of (2/pi) fx (x) fp
     gx = (2.0 / math.pi) * fx
@@ -340,55 +375,48 @@ class TimeAverageReport:
 
 
 def time_average(
-    evaluator: Callable[[float], "WignerGrid | np.ndarray | float"],
+    evaluator: Callable[[np.ndarray], "WignerGrid | np.ndarray | float"],
     window: tuple[float, float],
 ) -> tuple["WignerGrid | np.ndarray", TimeAverageReport]:
     """Uniform finite-window average of a time-dependent grid (or plain
     array/scalar signal), the operational stand-in for a summability
     limit of the oscillating interference term.
 
+    The evaluator takes the array of n midpoint times t0 + (i + 1/2)
+    (t1 - t0)/n and returns the mean of the signal over them, as a grid,
+    an array or a scalar (:func:`w_int_mean` is the one for the
+    interference term).  Its result is copied at once, so an evaluator
+    may hand back one buffer each time without aliasing the two means
+    being compared.
+
     Starts from 64 midpoint samples and doubles the count until the
     pointwise change drops below 1e-4; after 4 doublings without
     convergence the result is returned flagged rather than raised, so
     sweeps can report partial data.
-
-    Each mean is one in-place running sum of deviations from a copy of
-    the first sample, f_1 + sum_i (f(t_i) - f_1) / n: a constant signal
-    averages to itself bit for bit, an evaluator may refill one buffer,
-    and for n <= 1024 the rounding error, below n eps sum |f| (Higham,
-    SIAM J. Sci. Comput. 14, 783 (1993)), sits far under the 1e-4 bar.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got {window}")
 
-    def mean(n: int) -> tuple[np.ndarray, Any]:  # and the last sample, for its geometry
+    def mean(n: int) -> tuple[np.ndarray, Any]:  # and the result, for its geometry
         h = (t1 - t0) / n  # midpoint sampling: exact for full periods of trig signals
-        for i in range(n):
-            sample = evaluator(t0 + (i + 0.5) * h)
-            v = np.asarray(sample.values if isinstance(sample, WignerGrid) else sample,
-                           dtype=np.float64)
-            if i == 0:
-                base, total = v.copy(), np.zeros_like(v)
-            total += v
-            total -= base
-        total /= n
-        total += base
-        return total, sample
+        got = evaluator(t0 + (np.arange(n) + 0.5) * h)
+        return np.array(got.values if isinstance(got, WignerGrid) else got,
+                        dtype=np.float64), got
 
     n, doublings = 64, 0
-    current, sample = mean(n)
+    current, got = mean(n)
     max_change, converged = math.inf, False
     while doublings < 4 and not converged:
         n *= 2
         doublings += 1
-        refined, sample = mean(n)
+        refined, got = mean(n)
         max_change = float(np.max(np.abs(refined - current)))
         current, converged = refined, max_change < 1e-4
     report = TimeAverageReport(n_samples=n, doublings=doublings,
                                max_change=max_change, converged=converged)
-    if isinstance(sample, WignerGrid):
-        return sample.with_values(current), report
+    if isinstance(got, WignerGrid):
+        return got.with_values(current), report
     return current[()], report  # a 0-d mean comes back as a scalar
 
 
@@ -448,13 +476,17 @@ def load_wgrd(path) -> WignerGrid:
 
 
 def save_csv(grid: WignerGrid, path) -> None:
-    """Three-column x,p,W rows, x-major, '.' decimals, LF endings."""
-    ps = [f"{p:.17g}," for p in grid.p_axis.tolist()]
+    """Three-column x,p,W rows, x-major, '.' decimals, LF endings; every
+    number in %.17g, so each float64 reads back exactly.  Each x-row of
+    the grid is one '%' format, "x,p_0,%.17g\\nx,p_1,%.17g\\n...", applied
+    to the row's values at once; rows become Python floats one at a time,
+    so the whole grid never does."""
+    cells = [f"{p:.17g},%.17g\n" for p in grid.p_axis.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,p,W\n")
-        for x, row in zip(grid.x_axis.tolist(), grid.values.tolist()):
+        for x, row in zip(grid.x_axis.tolist(), grid.values):
             xc = f"{x:.17g},"
-            fh.write("".join([f"{xc}{p}{v:.17g}\n" for p, v in zip(ps, row)]))
+            fh.write((xc + xc.join(cells)) % tuple(row.tolist()))
 
 
 def load_csv(path) -> WignerGrid:

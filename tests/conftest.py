@@ -6,7 +6,8 @@ displacement oracles are a truncated matrix exponential (float64, by one
 cached eigendecomposition per ladder, cross-checked against Pade) and a
 normal-ordered series in 50-digit arithmetic, the coherent state is its
 log-domain Poisson amplitude formula, the closed cat fringes are
-evaluated pointwise on a full meshgrid, the second-order Dyson
+evaluated pointwise on a full meshgrid, the x,p,W text artifact is
+written one f-string per cell, the second-order Dyson
 kernel is written out from the displacement oracle, both Dyson orders
 come from scipy's ``expm_multiply`` over a padded Van Loan block matrix,
 and the joint-model oracle builds the full 2^N product-space
@@ -120,6 +121,17 @@ def w_int_meshgrid(grid, beta_prime: complex, alpha: float, phi: float,
            * (P * math.sin(wt) - X * math.cos(wt))
            + offset)
     return env * np.cos(arg)
+
+
+def save_csv_cellwise(grid, path) -> None:
+    """The x,p,W text artifact written one f-string per cell, %.17g
+    throughout, LF endings: the byte referee for ``save_csv``."""
+    ps = [f"{p:.17g}," for p in grid.p_axis.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,p,W\n")
+        for x, row in zip(grid.x_axis.tolist(), grid.values.tolist()):
+            xc = f"{x:.17g},"
+            fh.write("".join([f"{xc}{p}{v:.17g}\n" for p, v in zip(ps, row)]))
 
 
 def second_order_kernel(params, t_outer: float, t_inner: float,

@@ -34,7 +34,7 @@ from thermolim.propagator import asymptotic_branch_ratio, evolve_cat_leading, fr
 from thermolim.spins import chi_prime_state, chi_state, random_spec, \
     sigma_moments_bruteforce, sigma_moments_closed, ProductSpinSpec
 from thermolim.wigner import default_grid, fit_interference_offset, time_average, \
-    w_int_closed, wigner_numeric
+    w_int_closed, w_int_mean, wigner_numeric
 
 
 def report(passed: bool, label: str, detail: str) -> str:
@@ -173,7 +173,7 @@ def test_fringe_washout_and_phase_linearity():
             centers.append(fr.beta_prime + alpha * np.exp(-1j * phi) * rot)
         grid = default_grid(centers, spacing=0.15)
         averaged, _ = time_average(
-            lambda t: w_int_closed(p, alpha, phi, t, grid),
+            lambda ts: w_int_mean(p, alpha, phi, ts, grid),
             (0.0, 2 * math.pi))
         sups.append(averaged.sup_norm())
 

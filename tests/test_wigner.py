@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, w_int_meshgrid
+from conftest import displacement_expm, save_csv_cellwise, w_int_meshgrid
 from thermolim import wigner
 from thermolim.errors import CutoffError, DomainError, QuadratureError, ValidationError
 from thermolim.fock import (
@@ -37,6 +37,7 @@ from thermolim.wigner import (
     save_wgrd,
     time_average,
     w_int_closed,
+    w_int_mean,
     wigner_numeric,
 )
 
@@ -276,6 +277,27 @@ class TestWIntClosed:
         got = w_int_closed(p, alpha, phi, t, grid).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])  # either side of each block edge
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 16), g=st.floats(0.1, 0.5), alpha=st.floats(0.5, 3.0),
+           phi=st.floats(0.0, math.pi), t0=st.floats(0.0, 2 * math.pi),
+           span=st.floats(0.01, 4 * math.pi))
+    def test_block_mean_matches_per_sample_mean(self, n, n_atoms, g, alpha, phi, t0, span):
+        p = params_for(n_atoms, g)
+        ts = t0 + (np.arange(n) + 0.5) * (span / n)
+        # the grid holds every midpoint visited, so each sample is O(1) on it
+        grid = default_grid([frame(p, alpha, phi, t).beta_prime
+                             + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
+                             for t in ts], spacing=0.25)
+        want = np.mean([w_int_closed(p, alpha, phi, t, grid).values for t in ts], axis=0)
+        got = w_int_mean(p, alpha, phi, ts, grid)
+        assert got.same_geometry(grid)
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-14)
+
+    def test_mean_over_no_times_rejected(self):
+        with pytest.raises(DomainError):
+            w_int_mean(params_for(4, 0.25), 2.0, 1.0, [], default_grid([2.0]))
+
     @pytest.mark.parametrize("t", [0.0, 0.7, math.pi])
     def test_fit_rejects_aligned_branches(self, t):
         # at phi = 0 there are no fringes, so no phase can be fitted
@@ -378,40 +400,37 @@ class TestTimeAverage:
     def test_constant_grid_is_fixed_point(self):
         grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
         target = grid.with_values(np.full((grid.nx, grid.np), 0.3))
-        avg, report = time_average(lambda t: target, (0.0, 1.0))
+        avg, report = time_average(lambda ts: target, (0.0, 1.0))
         np.testing.assert_array_equal(avg.values, target.values)
         assert report.converged
 
     def test_full_period_cosine_averages_to_zero(self):
         k = 3.0
-        avg, report = time_average(lambda t: math.cos(k * t), (0.0, 2 * math.pi / k))
+        avg, report = time_average(lambda ts: float(np.mean(np.cos(k * ts))),
+                                   (0.0, 2 * math.pi / k))
         assert report.converged
         assert isinstance(avg, float)  # a scalar signal averages to a scalar
         assert abs(float(avg)) < 1e-12
 
     def test_nonconvergent_signal_is_flagged(self):
-        # sample count enters the mean directly, so no doubling settles
-        calls = [0]
-
-        def restless(t):
-            calls[0] += 1
-            return float(calls[0])
-
-        avg, report = time_average(restless, (0.0, 1.0))
+        # the sample count is the signal, so no doubling settles
+        avg, report = time_average(lambda ts: float(ts.size), (0.0, 1.0))
         assert not report.converged
         assert report.doublings == 4
         assert report.max_change >= 1e-4
 
     def test_refilled_buffer_averages_like_fresh_arrays(self):
-        # every sample is consumed before the next call, so an evaluator
-        # may hand back one buffer filled anew each time
+        # each mean is copied before the next call, so an evaluator may
+        # hand back one buffer filled anew each time; without the copy the
+        # two means alias and max_change reads 0
         buffer = np.empty(2)
 
-        def refilled(t):
-            buffer[:] = (t, t * t)
+        def refilled(ts):
+            buffer[:] = (ts.mean(), (ts * ts).mean())
             return buffer
 
-        fresh, fresh_report = time_average(lambda t: np.array([t, t * t]), (0.0, 1.0))
+        fresh, fresh_report = time_average(
+            lambda ts: np.array([ts.mean(), (ts * ts).mean()]), (0.0, 1.0))
         avg, report = time_average(refilled, (0.0, 1.0))
         np.testing.assert_array_equal(avg, fresh)
         assert report == fresh_report
@@ -423,15 +442,15 @@ class TestTimeAverage:
         # 64 midpoints, then 128; the first doubling settles a line
         times = []
 
-        def line(t):
-            times.append(t)
-            return np.array([t, 2.0 - t])
+        def line(ts):
+            times.append(ts.copy())
+            return np.mean([ts, 2.0 - ts], axis=1)
 
         avg, report = time_average(line, (0.0, 2.0))
-        assert len(times) == 64 + 128
+        assert [ts.size for ts in times] == [64, 128]
         assert (report.n_samples, report.doublings, report.converged) == (128, 1, True)
-        np.testing.assert_array_equal(times[:64], (np.arange(64) + 0.5) * (2.0 / 64))
-        np.testing.assert_array_equal(times[64:], (np.arange(128) + 0.5) * (2.0 / 128))
+        np.testing.assert_array_equal(times[0], (np.arange(64) + 0.5) * (2.0 / 64))
+        np.testing.assert_array_equal(times[1], (np.arange(128) + 0.5) * (2.0 / 128))
         np.testing.assert_allclose(avg, [1.0, 1.0], rtol=0, atol=1e-15)
 
     def test_window_and_sample_validation(self):
@@ -449,7 +468,7 @@ class TestTimeAverage:
                                     -math.sqrt(2) * reach - 4.3,
                                     math.sqrt(2) * reach + 4.3, 0.15)
             avg, report = time_average(
-                lambda t: w_int_closed(p, alpha, phi, t, grid),
+                lambda ts: w_int_mean(p, alpha, phi, ts, grid),
                 (0.0, 2 * math.pi))
             assert report.converged
             sups.append(avg.sup_norm())
@@ -498,12 +517,14 @@ class TestFringeVisibility:
                 c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - t))
                 return n2 * (gaussian_on(grid, c1) + gaussian_on(grid, c2))
 
-            def full_values(t, p=p, grid=grid):
-                cross = w_int_closed(p, alpha, phi, t, grid).values
-                return branch_values(t) + n2 * cross
+            def branch_mean(ts):
+                return np.mean([branch_values(t) for t in ts], axis=0)
 
-            avg_full, _ = time_average(lambda t: full_values(t), (0.0, 2 * math.pi))
-            avg_br, _ = time_average(lambda t: branch_values(t), (0.0, 2 * math.pi))
+            def full_mean(ts, p=p, grid=grid):
+                return branch_mean(ts) + n2 * w_int_mean(p, alpha, phi, ts, grid).values
+
+            avg_full, _ = time_average(full_mean, (0.0, 2 * math.pi))
+            avg_br, _ = time_average(branch_mean, (0.0, 2 * math.pi))
             out[n] = fringe_visibility(grid.with_values(avg_full),
                                        grid.with_values(avg_br))
         assert out[16] < out[2]
@@ -659,13 +680,12 @@ class TestSerialization:
 
 
 @st.composite
-def _grids(draw):
+def _grids(draw, elements=st.floats(allow_nan=False, allow_infinity=False)):
     nx, npts = draw(st.integers(2, 8)), draw(st.integers(2, 8))
     x_min, p_min = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
     x_max = x_min + (nx - 1) * draw(st.floats(1e-3, 0.25))
     p_max = p_min + (npts - 1) * draw(st.floats(1e-3, 0.25))
-    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                           min_size=nx * npts, max_size=nx * npts))
+    values = draw(st.lists(elements, min_size=nx * npts, max_size=nx * npts))
     return WignerGrid(x_min, x_max, p_min, p_max, nx, npts,
                       np.reshape(values, (nx, npts)))
 
@@ -681,3 +701,20 @@ def test_artifacts_round_trip_random_grids_exactly(grid):
             back = load(path)
             assert back.same_geometry(grid)
             assert back.values.tobytes() == grid.values.tobytes()
+
+
+# signed zeros, subnormals down to the smallest, 1.0 and the largest finite
+_CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+              1e-300, 1.0, -1.0, 1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_grids(st.one_of(st.sampled_from(_CSV_EDGES),
+                        st.floats(allow_nan=False, allow_infinity=False))))
+@example(WignerGrid(0.0, 0.5, -0.25, 0.5, 3, 4, np.reshape(_CSV_EDGES, (3, 4))))
+def test_csv_bytes_match_per_cell_writer(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, cells = Path(tmp) / "rows.csv", Path(tmp) / "cells.csv"
+        save_csv(grid, rows)
+        save_csv_cellwise(grid, cells)
+        assert rows.read_bytes() == cells.read_bytes()
