@@ -71,13 +71,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
+import numpy.fft  # loaded here, not lazily inside the first timed pass
 
 from .errors import DomainError, QuadratureError
 from .fock import (
     TAIL_TOL,
     FieldState,
     ModelParams,
+    _bessel_table,
     _bessel_window,
     _displacement_elements,
     _support,
@@ -123,15 +124,17 @@ def oscillatory_integral(params: ModelParams, t: float) -> complex:
         t sum_n J_n(c) exp(i theta_n / 2) sinc(theta_n / 2 pi),
         theta_n = (c - n) t,
 
-    summed over |n| <= m = ceil(c + 30 + 10 c^(1/3)).  The sum is exact
-    at t = 0 and at c = 0.  A non-finite sum, or a window edge |J_m(c)|
-    above 1e-16, raises ``QuadratureError``."""
+    summed over |n| <= m = ceil(c + 30 + 10 c^(1/3)), with
+    J_{-n} = (-1)^n J_n (A&S 9.1.5).  The sum is exact at t = 0 and at
+    c = 0.  A non-finite sum, or a window edge |J_m(c)| above 1e-16,
+    raises ``QuadratureError``."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     c = 4.0 * (params.n_atoms - 1) * params.g ** 2
     m = _bessel_window(c)
     n = np.arange(-m, m + 1)
-    bessel = jv(n, c)
+    table = _bessel_table(c, m)
+    bessel = np.concatenate([table[:0:-1] * (-1.0) ** n[:m], table])
     result = complex(np.sum(bessel * _exp_integral(c - n, t)))
     edge = max(abs(bessel[0]), abs(bessel[-1]))
     if not (np.isfinite(result) and edge <= 1e-16):
@@ -160,8 +163,9 @@ def _nodes(params: ModelParams, support: int, levels: int) -> int:
     the frequencies the displacement D[2g e^{is}] adds, and at least
     ``levels``."""
     cp = 4.0 * params.n_atoms * params.g ** 2
-    n = np.arange(math.ceil(cp), _bessel_window(cp) + 1)
-    bessel = n[np.flatnonzero(np.abs(jv(n, cp)) <= _REACH_TOL)[0]]
+    low = math.ceil(cp)
+    table = _bessel_table(cp, _bessel_window(cp))
+    bessel = low + np.flatnonzero(np.abs(table[low:]) <= _REACH_TOL)[0]
     band = int(bessel) + _reach(2.0 * params.g, support)
     return 1 << (max(2 * band, levels) - 1).bit_length()
 

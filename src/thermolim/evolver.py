@@ -9,9 +9,12 @@ products, spin factor first,
     H = I (x) n + g diag(m) (x) (a + a^dag) + (Delta/2) Sz_X (x) I,
 
 the sector Hamiltonians on the diagonal blocks plus the splitting
-across sectors, real symmetric, so the sparse matrix is its own
-transpose exactly.  With the splitting off the sectors do not couple,
-so :func:`evolve_exact` propagates only the occupied sectors; the empty
+across sectors, real symmetric.  In the sector-major storage it has
+five diagonals: the photon number on the main one, the Fock ladder at
+offsets +-1 and the splitting at +-(ncut + 1); :class:`Hamiltonian`
+keeps each symmetric pair once and applies them with array slices.
+With the splitting off the sectors do not couple, so
+:func:`evolve_exact` propagates only the occupied sectors; the empty
 ones stay exactly empty.
 
 Every exponential e^{-iHt} in the package goes through
@@ -37,16 +40,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import jv
 
 from .errors import CapacityError, DomainError, IntegrationError
-from .fock import CAPACITY_LIMIT, FieldState, ModelParams, _bessel_window, overlap
+from .fock import (
+    CAPACITY_LIMIT,
+    FieldState,
+    ModelParams,
+    _bessel_table,
+    _bessel_window,
+    overlap,
+)
 from .spins import CollectiveState, sigma_z_coupling
 
 __all__ = [
     "CAPACITY_LIMIT",
     "JointState",
+    "Hamiltonian",
     "HamiltonianSpec",
     "build_hamiltonian",
     "expm_checked",
@@ -115,14 +124,83 @@ class JointState:
 
 
 @dataclass(frozen=True)
-class HamiltonianSpec:
-    """Sparse Hamiltonian of the joint model in the sector-major basis."""
+class Hamiltonian:
+    """Real symmetric H on ``dim`` rows from its diagonals: ``diagonal``
+    on the main one, ``ladder`` at offsets +-1 and ``splitting`` at
+    +-``block``.  Each array holds the entries at (i, i + offset), so
+    ``ladder`` has dim - 1 entries and ``splitting`` dim - block."""
 
-    matrix: sp.spmatrix
+    diagonal: np.ndarray
+    ladder: np.ndarray
+    splitting: np.ndarray
+    block: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diagonal.size, self.diagonal.size)
+
+    @property
+    def off_diagonals(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(values, offset) of the two symmetric off-diagonal pairs."""
+        return ((self.ladder, 1), (self.splitting, self.block))
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of H as a sparse matrix: its nonzero entries."""
+        return int(np.count_nonzero(self.diagonal) + 2 * np.count_nonzero(self.ladder)
+                   + 2 * np.count_nonzero(self.splitting))
+
+    def bounds(self) -> tuple[float, float]:
+        """The Gershgorin interval [lo, hi] holding the spectrum: each row's
+        diagonal entry -+ the absolute sum of its off-diagonal entries."""
+        radius = np.zeros(self.diagonal.size)
+        for values, offset in self.off_diagonals:
+            radius[:-offset] += np.abs(values)
+            radius[offset:] += np.abs(values)
+        return (float(np.min(self.diagonal - radius)),
+                float(np.max(self.diagonal + radius)))
+
+    def sectors(self, occupied: np.ndarray) -> "Hamiltonian":
+        """H on the rows of the sectors (blocks of ``block`` rows) marked in
+        ``occupied``.  Only the splitting couples sectors, so this is exact
+        where it is off; where it is on, a :class:`DomainError`."""
+        if self.splitting.any():
+            raise DomainError("the splitting couples the sectors; keep them all")
+        rows = np.repeat(occupied, self.block)
+        # the ladder is zero across sector edges, so the kept rows' entries
+        # to their next row stay zero there too
+        ladder = np.append(self.ladder, 0.0)[rows][:-1]
+        return Hamiltonian(self.diagonal[rows], ladder,
+                           np.zeros(rows.sum() - self.block), self.block)
+
+    def toarray(self) -> np.ndarray:
+        """H as a dense matrix."""
+        dense = np.diag(self.diagonal)
+        for values, offset in self.off_diagonals:
+            dense += np.diag(values, offset) + np.diag(values, -offset)
+        return dense
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """H v."""
+        v = np.asarray(v)
+        out = self.diagonal * v
+        for values, offset in self.off_diagonals:
+            out[:-offset] += values * v[offset:]
+            out[offset:] += values * v[:-offset]
+        return out
+
+
+@dataclass(frozen=True)
+class HamiltonianSpec:
+    """Hamiltonian of the joint model in the sector-major basis."""
+
+    matrix: Hamiltonian
 
 
 def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
-    """The module's H on Fock levels 0..ncut, as one CSR matrix."""
+    """The module's H on Fock levels 0..ncut: n on the diagonal, the
+    coupling g m_q sqrt(n) at offsets +-1 within each sector q, and the
+    splitting (Delta/2) w_q at offsets +-(ncut + 1)."""
     if ncut < 4:
         raise DomainError(f"need ncut >= 4, got {ncut}")
     dimf, dims = ncut + 1, params.n_atoms + 1
@@ -130,29 +208,32 @@ def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
         raise CapacityError(
             f"state dimension {dimf * dims} exceeds limit {CAPACITY_LIMIT}")
     n = np.arange(dimf, dtype=float)
-    root, m = np.sqrt(n[1:]), params.n_atoms - 2.0 * np.arange(dims)
-    w = sigma_z_coupling(params.n_atoms)
-    field = sp.kron(sp.identity(dims), sp.diags(n), format="csr")
-    coupling = sp.kron(sp.diags(params.g * m), sp.diags([root, root], [-1, 1]),
-                       format="csr")
-    splitting = sp.kron((params.delta / 2.0) * sp.diags([w, w], [1, -1]),
-                        sp.identity(dimf), format="csr")
-    return HamiltonianSpec(matrix=field + coupling + splitting)
+    m = params.n_atoms - 2.0 * np.arange(dims)
+    # row n of sector q to row n + 1: g m_q sqrt(n + 1); none to the next sector
+    ladder = np.zeros((dims, dimf))
+    ladder[:, :-1] = np.outer(params.g * m, np.sqrt(n[1:]))
+    w = (params.delta / 2.0) * sigma_z_coupling(params.n_atoms)
+    return HamiltonianSpec(matrix=Hamiltonian(
+        diagonal=np.tile(n, dims), ladder=ladder.ravel()[:-1],
+        splitting=np.repeat(w, dimf), block=dimf))
 
 
-def expm_checked(t: float, h, v: np.ndarray,
+def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
                  steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i t_k H) v at every point of the grid t_k = k t / steps,
-    k = 0..steps, for a sparse real symmetric H, by the Chebyshev series
-    (Tal-Ezer & Kosloff 1984; Kosloff, Annu. Rev. Phys. Chem. 45, 145, 1994)
+    k = 0..steps, for a real symmetric :class:`Hamiltonian`, by the
+    Chebyshev series (Tal-Ezer & Kosloff 1984; Kosloff, Annu. Rev. Phys.
+    Chem. 45, 145, 1994)
 
         e^{-iH dt} u = e^{-ic dt} sum_{n<=K} (2 - delta_n0) (-i)^n J_n(r dt) T_n(H~) u
 
     over each interval dt = t / steps, with H~ = (H - c) / r.  The
     Gershgorin discs of the rows of H bound its spectrum by [c - r, c + r],
     so no T_n(H~) u grows past |u|.  K is :func:`fock._bessel_window` of
-    x = r dt; the intervals share the coefficients (one ``jv`` call) and
-    each costs K sparse products with H~.
+    x = r dt; the intervals share the coefficients (one Bessel table) and
+    each costs K products with H~, every one a few array operations on
+    diagonal slices into buffers allocated once, while runs of the terms
+    join the sum one matrix-vector product at a time.
 
     The terms an interval drops are at most 2 sum_{n>K} |J_n(x)| of |u|;
     past n = x the ratio |J_{n+1} / J_n| falls, so the geometric series on
@@ -165,17 +246,18 @@ def expm_checked(t: float, h, v: np.ndarray,
     Every row must keep the norm of ``v``; a drift beyond 1e-9 at any grid
     point raises :class:`IntegrationError`.
     """
-    diag = h.diagonal()
-    radius = np.asarray(abs(h).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    lo, hi = h.bounds()
     c, r = (hi + lo) / 2, (hi - lo) / 2 or 1.0  # H = c exactly: any r maps it to 0
-    # 2 H~ once, complex so that no product recasts it: each term of the
+    # the diagonals of 2 H~, complex once so that no product recasts them
+    # (numpy would convert real ones on every call); each term of the
     # recurrence T_{n+1} = 2 H~ T_n - T_{n-1} is one product, one subtraction
-    h2 = (2 / r * (h - c * sp.identity(v.size, format="csr"))).astype(np.complex128)
+    diag = (2 / r * (h.diagonal - c)).astype(np.complex128)
+    pairs = [((2 / r * values).astype(np.complex128), offset)
+             for values, offset in h.off_diagonals if values.any()]
     dt = t / steps
     x = r * dt
     last = _bessel_window(x)
-    bessel = jv(np.arange(last + 3), x)
+    bessel = _bessel_table(x, last + 2)
     first, second = abs(bessel[-2]), abs(bessel[-1])
     tail = 2 * first / (1 - second / first) if first > 0 else 0.0
     err = tail * np.arange(steps + 1)
@@ -187,19 +269,39 @@ def expm_checked(t: float, h, v: np.ndarray,
     coef = np.exp(-1j * c * dt) * np.array([1, -1j, -1, 1j])[n % 4] * bessel[:-2]
     coef[1:] *= 2
 
+    scratch = np.empty(v.size, dtype=np.complex128)
+
+    def product(u, out):  # out = 2 H~ u
+        np.multiply(diag, u, out=out)
+        for values, offset in pairs:
+            part = scratch[:-offset]
+            np.multiply(values, u[offset:], out=part)
+            out[:-offset] += part
+            np.multiply(values, u[:-offset], out=part)
+            out[offset:] += part
+
     out = np.empty((steps + 1, v.size), dtype=np.complex128)
     out[0] = v
+    # T_n(H~) u for a run of consecutive n, as long as fits in 4 MB, joins
+    # the sum in one matrix-vector product with their coefficients
+    run = max(3, min(32, (1 << 22) // (16 * v.size)))
+    terms = np.empty((run, v.size), dtype=np.complex128)
     for j in range(steps):
-        prev = out[j]
-        cur = h2 @ prev
-        cur *= 0.5
-        acc = coef[0] * prev + coef[1] * cur
+        acc = out[j + 1]
+        acc[:] = 0
+        terms[0] = out[j]
+        product(terms[0], terms[1])
+        terms[1] *= 0.5
+        first = 0  # the order held in terms[0]
         for i in range(2, last + 1):
-            nxt = h2 @ cur
-            nxt -= prev
-            acc += coef[i] * nxt
-            prev, cur = cur, nxt
-        out[j + 1] = acc
+            k = i - first
+            if k == run:  # sum all but the two the recurrence still reads
+                acc += coef[first:first + run - 2] @ terms[:-2]
+                terms[:2] = terms[-2:]
+                first, k = i - 2, 2
+            product(terms[k - 1], terms[k])
+            terms[k] -= terms[k - 2]
+        acc += coef[first:] @ terms[:last + 1 - first]
     norm0 = np.linalg.norm(v)
     drift = float(max(abs(np.linalg.norm(row) - norm0) for row in out))
     if not drift <= _NORM_TOL:
@@ -240,7 +342,7 @@ def evolve_grid(state: JointState, t: float, steps: int):
     occupied = np.any(state.amplitudes != 0, axis=0)
     if state.params.delta == 0 and not occupied.all():
         rows = np.repeat(occupied, state.ncut + 1)  # sector-major: q on a block of rows
-        h, v0 = h[rows][:, rows], v0[rows]
+        h, v0 = h.sectors(occupied), v0[rows]
     out, _ = expm_checked(t, h, v0, steps=steps)
     for row in out[1:]:
         full = np.zeros(state.amplitudes.size, dtype=np.complex128)

@@ -14,12 +14,12 @@ the thousands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, CutoffError, DomainError
 
@@ -140,6 +140,40 @@ def _bessel_window(x: float) -> int:
     return math.ceil(x + 30 + 10 * x ** (1 / 3))
 
 
+def _bessel_table(x: float, last: int) -> np.ndarray:
+    """J_0(x) .. J_last(x) for x >= 0, by Miller's backward recurrence
+    J_{k-1} = (2k / x) J_k - J_{k+1} (Abramowitz & Stegun 9.1.27; Numerical
+    Recipes 6.5).
+
+    Started from J_{s+1} = 0, J_s = 1 at s = the Bessel window of ``last``,
+    where the true values are negligible, the recurrence runs down onto the
+    minimal solution; the identity J_0 + 2 sum_k J_2k = 1 (A&S 9.1.46)
+    fixes its scale.  Whenever a value passes 1e250 the values so far are
+    scaled down by 1e-250, so nothing overflows; the smallest orders
+    underflow to zero, as they should.  Below x = 1e-8 the recurrence's
+    step 2k/x would itself overflow and the series' first term is exact to
+    rounding, J_n = (x/2)^n / n!."""
+    if x < 1e-8:
+        out, term = np.zeros(last + 1), 1.0
+        for n in range(last + 1):
+            out[n] = term
+            term *= 0.5 * x / (n + 1)
+        return out
+    start = _bessel_window(max(x, last))
+    vals = [0.0] * (start + 1)
+    vals[start] = cur = 1.0
+    nxt = 0.0
+    for k in range(start, 0, -1):
+        # 2k / x rounded afresh each step: one rounded 2 / x would shift the
+        # whole table to a neighbouring x, by up to 3e-15 at x = 1000
+        nxt, cur = cur, 2 * k / x * cur - nxt
+        if abs(cur) > 1e250:
+            vals[k:] = [v * 1e-250 for v in vals[k:]]
+            nxt, cur = nxt * 1e-250, cur * 1e-250
+        vals[k - 1] = cur
+    return np.array(vals[: last + 1]) / (vals[0] + 2.0 * math.fsum(vals[2::2]))
+
+
 def assoc_laguerre(n: int, k: int, x: float) -> float:
     """Associated Laguerre polynomial L_n^(k)(x) by the three-term
     recurrence in the degree.
@@ -162,6 +196,22 @@ def assoc_laguerre(n: int, k: int, x: float) -> float:
     return cur
 
 
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    """log d! for d = 0..size-1, one ``math.lgamma`` each, read-only.  A
+    running sum of logs would drift: by 1.4e-9 at d = 20 000."""
+    table = np.array([math.lgamma(d + 1.0) for d in range(size)])
+    table.setflags(write=False)
+    return table
+
+
+def _log_factorials(d) -> np.ndarray:
+    """log d! for an array of integers d >= 0, read from a table sized to
+    the next power of two above the largest."""
+    d = np.asarray(d).astype(np.intp)
+    return _log_factorial_table(1 << int(d.max(initial=0)).bit_length())[d]
+
+
 def _scaled_diagonal(d, x, jmax: int) -> np.ndarray:
     """Magnitudes of the displacement diagonals n - k = d >= 0.
 
@@ -176,7 +226,7 @@ def _scaled_diagonal(d, x, jmax: int) -> np.ndarray:
     out = np.empty((jmax + 1,) + np.broadcast_shapes(d.shape, x.shape))
     with np.errstate(divide="ignore"):  # log(0) at grid points with x = 0
         logm0 = -0.5 * x + 0.5 * d * np.log(np.where(x > 0, x, 1.0)) \
-            - 0.5 * gammaln(d + 1)
+            - 0.5 * _log_factorials(d)
     out[0] = np.where(x > 0, np.exp(logm0), d == 0)  # x^(d/2) = [d = 0] at x = 0
     if jmax >= 1:
         out[1] = out[0] * (1.0 + d - x) / np.sqrt(1 + d)

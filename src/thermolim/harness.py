@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+import numpy.random  # loaded here, not lazily inside the first seeded study
 
 from .dyson import (
     corrections_on_grid,

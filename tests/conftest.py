@@ -11,10 +11,13 @@ written one f-string per cell, the second-order Dyson
 kernel is written out from the displacement oracle, both Dyson orders
 come from scipy's ``expm_multiply`` over a padded Van Loan block matrix,
 and the joint-model oracle builds the full 2^N product-space
-Hamiltonian with dense kron products.  Tests freeze values computed
-from these, then compare the package against them.  Two fault
-injectors round the file off: a Bessel window cut short and Bessel
-values that leak norm, the two ingredients of a Chebyshev propagator.
+Hamiltonian with dense kron products; the joint model's H in the
+sector basis is one scipy CSR matrix built from Kronecker products.
+scipy's ``jv`` and ``gammaln`` referee the package's numpy-only Bessel
+table and log-factorials.  Tests freeze values computed from these,
+then compare the package against them.  Two fault injectors round the
+file off: a Bessel window cut short and Bessel values that leak norm,
+the two ingredients of a Chebyshev propagator.
 """
 
 from __future__ import annotations
@@ -209,6 +212,35 @@ def van_loan_corrections(params, t: float, steps: int,
     return v * rows[:, dim: dim + ncut + 1], v * v * rows[:, : ncut + 1]
 
 
+def csr_hamiltonian(params, ncut: int) -> sp.csr_matrix:
+    """The joint model's H on Fock levels 0..ncut in the sector-major
+    basis, as one CSR matrix of Kronecker products, spin factor first:
+    I (x) n + g diag(m) (x) (a + a^dag) + (Delta/2) Sz_X (x) I."""
+    dimf, dims = ncut + 1, params.n_atoms + 1
+    n = np.arange(dimf, dtype=float)
+    root, m = np.sqrt(n[1:]), params.n_atoms - 2.0 * np.arange(dims)
+    q = np.arange(params.n_atoms)
+    w = np.sqrt((q + 1.0) * (params.n_atoms - q))
+    field = sp.kron(sp.identity(dims), sp.diags(n), format="csr")
+    coupling = sp.kron(sp.diags(params.g * m), sp.diags([root, root], [-1, 1]),
+                       format="csr")
+    splitting = sp.kron((params.delta / 2.0) * sp.diags([w, w], [1, -1]),
+                        sp.identity(dimf), format="csr")
+    return field + coupling + splitting
+
+
+def bessel_tail_bound(x: float, last: int) -> float:
+    """The Chebyshev tail bound 2 |J_{K+1}| / (1 - |J_{K+2} / J_{K+1}|) at
+    K = ``last``, from scipy's ``jv``."""
+    first, second = np.abs(jv([last + 1, last + 2], x))
+    return 2 * first / (1 - second / first) if first > 0 else 0.0
+
+
+def log_factorials(d) -> np.ndarray:
+    """log d! from scipy's ``gammaln``."""
+    return gammaln(np.asarray(d, dtype=np.float64) + 1.0)
+
+
 def short_bessel_window(x):
     """The Bessel window ceil(x + 30 + 10 x^(1/3)) cut to
     ceil(x + 5 x^(1/3)): a Chebyshev series ending there drops terms of
@@ -216,10 +248,10 @@ def short_bessel_window(x):
     return math.ceil(x + 5 * x ** (1 / 3))
 
 
-def leaky_jv(n, x):
-    """Bessel values shrunk by 1 - 1e-6: a Chebyshev series built on them
-    loses 1e-6 of the norm per interval."""
-    return (1.0 - 1e-6) * jv(n, x)
+def leaky_bessel_table(x, last):
+    """Bessel values J_0(x) .. J_last(x) shrunk by 1 - 1e-6: a Chebyshev
+    series built on them loses 1e-6 of the norm per interval."""
+    return (1.0 - 1e-6) * jv(np.arange(last + 1), x)
 
 
 def displacement_series_mp(n: int, k: int, alpha: complex, dps: int = 50):

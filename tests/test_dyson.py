@@ -1,5 +1,6 @@
 """Perturbative detuning corrections: quadratures, sector transfer, scaling."""
 
+import json
 import math
 import subprocess
 import sys
@@ -110,7 +111,7 @@ class TestOscillatoryIntegral:
 
     def test_bessel_window_edge_is_checked(self, monkeypatch):
         # edge terms that have not decayed mean the window was too narrow
-        monkeypatch.setattr(dyson, "jv", lambda n, c: np.full(np.shape(n), 1e-3))
+        monkeypatch.setattr(dyson, "_bessel_table", lambda c, last: np.full(last + 1, 1e-3))
         with pytest.raises(QuadratureError):
             oscillatory_integral(params_for(8, 0.3), 3 * math.pi)
 
@@ -139,14 +140,41 @@ class TestOscillatoryIntegral:
         assert fit["exponent"] <= -1.0 / 3.0
 
 
-def test_import_loads_no_quadrature_or_optimizer():
-    # scipy.integrate pulls in scipy.optimize; neither is needed at run time
-    probe = ("import sys, thermolim; print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+_RUNTIME_PROBE = """
+import json, sys
+from thermolim import harness
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = scipy_modules()
+before = set(sys.modules)
+configs = [
+    {"study": "spin-classical"},
+    {"study": "cat", "n_atoms": 2},
+    {"study": "fock", "n_atoms": 2},
+    {"study": "wigner", "n_atoms": 2, "grid_spacing": 0.2},
+    {"study": "dyson-scaling", "delta": 0.02},
+    {"study": "convergence", "n_atoms": 2, "delta": 0.02},
+    {"study": "dyson-scaling", "delta": 0.02, "sweep_axis": "n_atoms",
+     "sweep_values": [2, 4], "workers": 2},
+]
+for i, raw in enumerate(configs):
+    config = harness.ScenarioConfig.from_mapping(raw, out_dir=f"{sys.argv[1]}/{i}")
+    (harness.run_sweep if config.sweep_axis else harness.run_scenario)(config)
+    seen += scipy_modules()
+print(json.dumps({"scipy": seen, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_runtime_loads_no_scipy_and_nothing_lazily(tmp_path):
+    # the runtime is numpy-only, and importing the driver loads every module
+    # the studies and a threaded sweep use, so none loads inside the work
+    # (numpy loads numpy.fft and numpy.random lazily)
     src = str(Path(thermolim.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, str(tmp_path)], cwd=src,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == {"scipy": [], "new": []}
 
 
 # ------------------------------------------------- first-order transfer

@@ -11,7 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    leaky_jv,
+    bessel_tail_bound,
+    csr_hamiltonian,
+    leaky_bessel_table,
     product_space_hamiltonian,
     short_bessel_window,
     symmetric_sector_embedding,
@@ -85,13 +87,43 @@ class TestBuildHamiltonian:
     def test_exactly_symmetric(self):
         # delta = 0.3 and g = 0.21 at omega = 1.1
         spec = build_hamiltonian(ModelParams(delta=0.3 / 1.1, g=0.21 / 1.1, n_atoms=5), 25)
-        assert (spec.matrix - spec.matrix.T).nnz == 0
+        dense = spec.matrix.toarray()
+        assert np.array_equal(dense, dense.T)
 
     def test_block_diagonal_without_splitting(self):
         spec = build_hamiltonian(params_for(4, 0.3), 12)
-        coo = spec.matrix.tocoo()
+        row, col = np.nonzero(spec.matrix.toarray())
         # sector-major storage: index // (ncut+1) is the sector
-        assert np.array_equal(coo.row // 13, coo.col // 13)
+        assert np.array_equal(row // 13, col // 13)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 6), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.5),
+           ncut=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n_atoms=2, delta=0.0, g=0.0, ncut=4, seed=0)
+    @example(n_atoms=4, delta=0.3, g=1.18e-160, ncut=12, seed=1)
+    def test_matches_csr_oracle(self, n_atoms, delta, g, ncut, seed):
+        p = ModelParams(delta=delta, g=g, n_atoms=n_atoms)
+        h, oracle = build_hamiltonian(p, ncut).matrix, csr_hamiltonian(p, ncut)
+        dense = oracle.toarray()
+        assert np.array_equal(h.toarray(), dense)
+        assert h.nnz == oracle.nnz and isinstance(h.nnz, int) and h.shape == oracle.shape
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+        scale = np.linalg.norm(dense, 2) * np.linalg.norm(x)
+        assert np.linalg.norm(h @ x - oracle @ x) <= 1e-14 * scale
+        radius = np.asarray(abs(oracle).sum(axis=1)).ravel() - np.abs(oracle.diagonal())
+        want = (np.min(oracle.diagonal() - radius), np.max(oracle.diagonal() + radius))
+        np.testing.assert_allclose(h.bounds(), want, rtol=1e-15, atol=1e-15)
+
+    def test_sector_restriction_matches_oracle_block(self):
+        p = params_for(4, 0.3)
+        occupied = np.array([True, False, True, True, False])
+        rows = np.repeat(occupied, 13)
+        sub = build_hamiltonian(p, 12).matrix.sectors(occupied)
+        want = csr_hamiltonian(p, 12)[rows][:, rows]
+        assert np.array_equal(sub.toarray(), want.toarray()) and sub.nnz == want.nnz
+        with pytest.raises(DomainError, match="splitting"):
+            build_hamiltonian(params_for(4, 0.3, delta=0.1), 12).matrix.sectors(occupied)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -296,7 +328,7 @@ class TestEvolveExact:
         assert err.value.diagnostics["error_estimate"] > 1e-8
         assert "drift" not in err.value.diagnostics
         with monkeypatch.context() as patch:
-            patch.setattr(evolver, "jv", leaky_jv)
+            patch.setattr(evolver, "_bessel_table", leaky_bessel_table)
             with pytest.raises(IntegrationError, match="norm drift") as err:
                 evolve_exact(st, 6.0)
         assert err.value.diagnostics["drift"] > 1e-9
@@ -326,20 +358,27 @@ class TestEvolveExact:
     def test_estimate_measures_truncation_on_study_grids(self, monkeypatch, tmp_path,
                                                          config):
         # the Bessel tail bound is tiny but not zero: 3.2e-30 at the end
-        # of the cat grid, 2.3e-35 at the end of convergence's
-        seen = []
-        engine = evolver.expm_checked
+        # of the cat grid, 2.3e-35 at the end of convergence's; per
+        # interval it is scipy's to 1e-6
+        seen, tables = [], []
+        engine, table = evolver.expm_checked, evolver._bessel_table
 
         def recording(*args, **kwargs):
             out, err = engine(*args, **kwargs)
             seen.append(err)
             return out, err
 
+        def recording_table(x, last):
+            tables.append((x, last))
+            return table(x, last)
+
         monkeypatch.setattr(evolver, "expm_checked", recording)
+        monkeypatch.setattr(evolver, "_bessel_table", recording_table)
         run_scenario(ScenarioConfig.from_mapping(config, out_dir=str(tmp_path)))
-        [err] = seen
+        [err], [(x, last)] = seen, tables
         assert err.shape == (17,) and err[0] == 0
         assert np.all(np.diff(err) > 0) and err[-1] <= 1e-8
+        assert err[1] == pytest.approx(bessel_tail_bound(x, last - 2), rel=1e-6)
 
     def test_long_interval_matches_fine_grid(self):
         # r t = 2865 in one interval: the tail past the window is 3.6e-19,

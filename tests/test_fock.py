@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coherent_closed, displacement_expm, displacement_pade, \
-    displacement_series_mp, laguerre_series
+    displacement_series_mp, laguerre_series, log_factorials
+from thermolim import fock
 from thermolim.errors import CapacityError, CutoffError, DomainError
 from thermolim.fock import (
     CAPACITY_LIMIT,
@@ -26,7 +27,7 @@ from thermolim.fock import (
     displacement_matrix,
     overlap,
 )
-from thermolim.fock import _support
+from thermolim.fock import _bessel_table, _bessel_window, _log_factorials, _support
 
 
 # ---------------------------------------------------------------- laguerre
@@ -184,6 +185,65 @@ def test_displacement_huge_argument_is_finite():
     val = displacement_matrix(400, 36.0)[400, 395]
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("ncut, alpha", [(59, 0.5), (59, 1.3 + 0.4j), (59, -3 + 2j),
+                                         (130, 6j), (200, 10.0), (400, 36.0)])
+def test_displacement_matrix_unchanged_by_log_factorial_route(monkeypatch, ncut, alpha):
+    # scipy's gammaln and math.lgamma differ by up to 4 ulp of log d!, which
+    # moves an element by 3.7e-15 at ncut = 59, alpha = 0.5 and by at most
+    # 1.1e-14 here; both routes are as close to the exact elements
+    ours = displacement_matrix(ncut, alpha)
+    monkeypatch.setattr(fock, "_log_factorials", log_factorials)
+    assert np.abs(ours - displacement_matrix(ncut, alpha)).max() <= 2e-14
+
+
+def test_log_factorials_match_scipy():
+    # scipy's gammaln is itself up to 3 ulp from the correctly rounded
+    # log d! here (mpmath), so one ulp between the two is out of reach
+    d = np.arange(20_001)
+    ours = _log_factorials(d)
+    assert ours[0] == ours[1] == 0.0
+    np.testing.assert_array_max_ulp(ours[2:], log_factorials(d[2:]), maxulp=4)
+    np.testing.assert_array_equal(_log_factorials(d[::-7].reshape(-1, 1)),
+                                  ours[::-7].reshape(-1, 1))
+
+
+# ----------------------------------------------------------------- bessel
+
+def _besselj_mp(n: int, x: float) -> float:
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return float(mp.besselj(n, x))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(0.0, 3000.0), order=st.floats(0.0, 1.0))
+@example(x=3000.0, order=0.97)
+@example(x=999.0, order=0.5)
+@example(x=59.68, order=0.0)
+def test_bessel_table_matches_mpmath(x, order):
+    # Miller's recurrence against mpmath at an order drawn from 0..K+2 and
+    # at the two orders past the window, K + 1 and K + 2, that the
+    # evolver's tail bound reads
+    last = _bessel_window(x) + 2
+    table = _bessel_table(x, last)
+    assert table.shape == (last + 1,)
+    for n in (round(order * last), last - 1, last):
+        assert abs(table[n] - _besselj_mp(n, x)) <= 1e-15
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 1e-12, 9.9e-9, 1e-8, 1.1e-8, 1e-6, 0.3])
+def test_bessel_table_at_tiny_argument(x):
+    # below x = 1e-8 the table is the series' first term; above it Miller's
+    # recurrence rescales past the growth of 2k/x; both to rounding
+    last = _bessel_window(x) + 2
+    table = _bessel_table(x, last)
+    want = np.array([_besselj_mp(n, x) for n in range(last + 1)])
+    np.testing.assert_allclose(table, want, rtol=1e-13, atol=1e-300)
+    if x == 0:
+        assert table[0] == 1.0 and not table[1:].any()
 
 
 # ----------------------------------------------------------------- states
