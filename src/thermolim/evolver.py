@@ -12,7 +12,8 @@ the sector Hamiltonians on the diagonal blocks plus the splitting
 across sectors, real symmetric.  In the sector-major storage it has
 five diagonals: the photon number on the main one, the Fock ladder at
 offsets +-1 and the splitting at +-(ncut + 1); :class:`Hamiltonian`
-keeps each symmetric pair once and applies them with array slices.
+keeps each symmetric pair once as a band, and its one product
+:meth:`Hamiltonian.apply` works on array slices.
 With the splitting off the sectors do not couple, so
 :func:`evolve_exact` propagates only the occupied sectors; the empty
 ones stay exactly empty.
@@ -125,14 +126,14 @@ class JointState:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Real symmetric H on ``dim`` rows from its diagonals: ``diagonal``
-    on the main one, ``ladder`` at offsets +-1 and ``splitting`` at
-    +-``block``.  Each array holds the entries at (i, i + offset), so
-    ``ladder`` has dim - 1 entries and ``splitting`` dim - block."""
+    """Symmetric H on ``dim`` rows from its diagonals: ``diagonal`` on the
+    main one and each ``(values, offset)`` of ``bands`` at +-offset, its
+    values the entries at (i, i + offset), so dim - offset of them.  Rows
+    come in sectors of ``block``; a band inside the sectors is zero across
+    their edges."""
 
     diagonal: np.ndarray
-    ladder: np.ndarray
-    splitting: np.ndarray
+    bands: tuple[tuple[np.ndarray, int], ...]
     block: int
 
     @property
@@ -140,21 +141,16 @@ class Hamiltonian:
         return (self.diagonal.size, self.diagonal.size)
 
     @property
-    def off_diagonals(self) -> tuple[tuple[np.ndarray, int], ...]:
-        """(values, offset) of the two symmetric off-diagonal pairs."""
-        return ((self.ladder, 1), (self.splitting, self.block))
-
-    @property
     def nnz(self) -> int:
         """Stored entries of H as a sparse matrix: its nonzero entries."""
-        return int(np.count_nonzero(self.diagonal) + 2 * np.count_nonzero(self.ladder)
-                   + 2 * np.count_nonzero(self.splitting))
+        return int(np.count_nonzero(self.diagonal)
+                   + sum(2 * np.count_nonzero(values) for values, _ in self.bands))
 
     def bounds(self) -> tuple[float, float]:
         """The Gershgorin interval [lo, hi] holding the spectrum: each row's
         diagonal entry -+ the absolute sum of its off-diagonal entries."""
         radius = np.zeros(self.diagonal.size)
-        for values, offset in self.off_diagonals:
+        for values, offset in self.bands:
             radius[:-offset] += np.abs(values)
             radius[offset:] += np.abs(values)
         return (float(np.min(self.diagonal - radius)),
@@ -162,31 +158,42 @@ class Hamiltonian:
 
     def sectors(self, occupied: np.ndarray) -> "Hamiltonian":
         """H on the rows of the sectors (blocks of ``block`` rows) marked in
-        ``occupied``.  Only the splitting couples sectors, so this is exact
-        where it is off; where it is on, a :class:`DomainError`."""
-        if self.splitting.any():
+        ``occupied``.  Only bands reaching a whole block couple sectors, so
+        this is exact where they are off; where one is on, a
+        :class:`DomainError`."""
+        if any(values.any() for values, offset in self.bands if offset >= self.block):
             raise DomainError("the splitting couples the sectors; keep them all")
         rows = np.repeat(occupied, self.block)
-        # the ladder is zero across sector edges, so the kept rows' entries
-        # to their next row stay zero there too
-        ladder = np.append(self.ladder, 0.0)[rows][:-1]
-        return Hamiltonian(self.diagonal[rows], ladder,
-                           np.zeros(rows.sum() - self.block), self.block)
+        # a band is zero across sector edges, so the kept rows' entries to
+        # rows offset further on stay zero there too
+        return Hamiltonian(self.diagonal[rows], tuple(
+            (np.append(values, np.zeros(offset))[rows][:-offset], offset)
+            for values, offset in self.bands if offset < self.block), self.block)
 
     def toarray(self) -> np.ndarray:
         """H as a dense matrix."""
         dense = np.diag(self.diagonal)
-        for values, offset in self.off_diagonals:
+        for values, offset in self.bands:
             dense += np.diag(values, offset) + np.diag(values, -offset)
         return dense
+
+    def apply(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out = H u, through ``scratch``, a buffer of u's size; neither may
+        be ``u``."""
+        np.multiply(self.diagonal, u, out=out)
+        for values, offset in self.bands:
+            part = scratch[:-offset]
+            np.multiply(values, u[offset:], out=part)
+            out[:-offset] += part
+            np.multiply(values, u[:-offset], out=part)
+            out[offset:] += part
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         """H v."""
         v = np.asarray(v)
-        out = self.diagonal * v
-        for values, offset in self.off_diagonals:
-            out[:-offset] += values * v[offset:]
-            out[offset:] += values * v[:-offset]
+        dtype = np.result_type(self.diagonal, v)
+        out, scratch = np.empty(v.shape, dtype), np.empty(v.shape, dtype)
+        self.apply(v, out, scratch)
         return out
 
 
@@ -214,8 +221,8 @@ def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
     ladder[:, :-1] = np.outer(params.g * m, np.sqrt(n[1:]))
     w = (params.delta / 2.0) * sigma_z_coupling(params.n_atoms)
     return HamiltonianSpec(matrix=Hamiltonian(
-        diagonal=np.tile(n, dims), ladder=ladder.ravel()[:-1],
-        splitting=np.repeat(w, dimf), block=dimf))
+        diagonal=np.tile(n, dims),
+        bands=((ladder.ravel()[:-1], 1), (np.repeat(w, dimf), dimf)), block=dimf))
 
 
 def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
@@ -248,12 +255,13 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
     """
     lo, hi = h.bounds()
     c, r = (hi + lo) / 2, (hi - lo) / 2 or 1.0  # H = c exactly: any r maps it to 0
-    # the diagonals of 2 H~, complex once so that no product recasts them
-    # (numpy would convert real ones on every call); each term of the
-    # recurrence T_{n+1} = 2 H~ T_n - T_{n-1} is one product, one subtraction
-    diag = (2 / r * (h.diagonal - c)).astype(np.complex128)
-    pairs = [((2 / r * values).astype(np.complex128), offset)
-             for values, offset in h.off_diagonals if values.any()]
+    # 2 H~ without its all-zero bands, complex once so that no product
+    # recasts it (numpy would convert real diagonals on every call); each
+    # term of the recurrence T_{n+1} = 2 H~ T_n - T_{n-1} is one product,
+    # one subtraction
+    h2 = Hamiltonian((2 / r * (h.diagonal - c)).astype(np.complex128),
+                     tuple(((2 / r * values).astype(np.complex128), offset)
+                           for values, offset in h.bands if values.any()), h.block)
     dt = t / steps
     x = r * dt
     last = _bessel_window(x)
@@ -270,16 +278,6 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
     coef[1:] *= 2
 
     scratch = np.empty(v.size, dtype=np.complex128)
-
-    def product(u, out):  # out = 2 H~ u
-        np.multiply(diag, u, out=out)
-        for values, offset in pairs:
-            part = scratch[:-offset]
-            np.multiply(values, u[offset:], out=part)
-            out[:-offset] += part
-            np.multiply(values, u[:-offset], out=part)
-            out[offset:] += part
-
     out = np.empty((steps + 1, v.size), dtype=np.complex128)
     out[0] = v
     # T_n(H~) u for a run of consecutive n, as long as fits in 4 MB, joins
@@ -290,7 +288,7 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
         acc = out[j + 1]
         acc[:] = 0
         terms[0] = out[j]
-        product(terms[0], terms[1])
+        h2.apply(terms[0], terms[1], scratch)
         terms[1] *= 0.5
         first = 0  # the order held in terms[0]
         for i in range(2, last + 1):
@@ -299,7 +297,7 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
                 acc += coef[first:first + run - 2] @ terms[:-2]
                 terms[:2] = terms[-2:]
                 first, k = i - 2, 2
-            product(terms[k - 1], terms[k])
+            h2.apply(terms[k - 1], terms[k], scratch)
             terms[k] -= terms[k - 2]
         acc += coef[first:] @ terms[:last + 1 - first]
     norm0 = np.linalg.norm(v)
@@ -334,10 +332,6 @@ def evolve_grid(state: JointState, t: float, steps: int):
         raise DomainError(f"need steps >= 1, got {steps}")
     h, v0 = build_hamiltonian(state.params, state.ncut).matrix, state.vector()
     yield state
-    if t == 0:
-        for _ in range(steps):
-            yield state
-        return
     rows = slice(None)
     occupied = np.any(state.amplitudes != 0, axis=0)
     if state.params.delta == 0 and not occupied.all():

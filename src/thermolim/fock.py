@@ -298,6 +298,18 @@ def displaced_number_state(k: int, alpha: complex, ncut: int) -> FieldState:
     return state
 
 
+def _superposition(terms) -> tuple[FieldState, float]:
+    """The normalized sum of the ``(weight, state)`` pairs in ``terms``,
+    tail-checked, plus the applied normalization factor."""
+    raw = sum(w * state.amplitudes for w, state in terms)
+    norm = float(np.linalg.norm(raw))
+    if norm == 0:
+        raise CutoffError("branches cancelled to zero; cutoff unusable")
+    out = FieldState(raw / norm)
+    out.require_tail()
+    return out, 1.0 / norm
+
+
 def cat_state(alpha: float, phi: float, ncut: int) -> tuple[FieldState, float]:
     """Normalized two-branch superposition of |alpha e^{i phi}> and
     |alpha e^{-i phi}>, plus the applied normalization factor.
@@ -308,15 +320,8 @@ def cat_state(alpha: float, phi: float, ncut: int) -> tuple[FieldState, float]:
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
-    up = coherent_state(alpha * np.exp(1j * phi), ncut)
-    dn = coherent_state(alpha * np.exp(-1j * phi), ncut)
-    raw = up.amplitudes + dn.amplitudes
-    norm = float(np.linalg.norm(raw))
-    if norm == 0:
-        raise CutoffError("cat branches cancelled to zero; cutoff unusable")
-    state = FieldState(raw / norm)
-    state.require_tail()
-    return state, 1.0 / norm
+    return _superposition([(1, coherent_state(alpha * np.exp(1j * phi), ncut)),
+                           (1, coherent_state(alpha * np.exp(-1j * phi), ncut))])
 
 
 def cat_norm_closed(alpha: float, phi: float) -> float:

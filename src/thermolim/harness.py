@@ -91,9 +91,10 @@ def _finite_float(token: str) -> float:
 def parse_config(text: str) -> dict[str, Any]:
     """Parse flat ``key = value`` lines; values are JSON literals.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys, duplicate
-    keys, and unparseable or non-finite values raise a validation error
-    naming the offender.
+    Blank lines and lines starting with ``#`` are skipped; a ``#`` after a
+    value is part of it, so a trailing comment fails to parse.  Unknown
+    keys, duplicate keys, and unparseable or non-finite values raise a
+    validation error naming the offender.
     """
     out: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -336,12 +337,7 @@ def _initial_field(config: ScenarioConfig, kind: str) -> FieldState:
         return cat_state(config.alpha, config.phi,
                          choose_cutoff(p, config.alpha, 0))[0]
     k = config.fock_k if kind == "fock" else 0
-    amps = np.zeros(choose_cutoff(p, 0.0, k) + 1, dtype=complex)
-    if k == 0:
-        amps[0] = 1.0
-    else:
-        amps[0] = amps[k] = 1.0 / math.sqrt(2.0)
-    return FieldState(amps)
+    return evolve_fock_leading(p, k, 0.0, choose_cutoff(p, 0.0, k))
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .fock import (
     FieldState,
     ModelParams,
     _displacement_elements,
+    _superposition,
     assoc_laguerre,
     coherent_state,
     displaced_number_state,
@@ -142,34 +143,26 @@ def evolve_cat_leading(
     fr = frame(params, alpha, phi, t)
     c1 = fr.beta_prime + alpha * cmath.exp(1j * phi - 1j * t)
     c2 = fr.beta_prime + alpha * cmath.exp(-1j * phi - 1j * t)
-    raw = (
-        cmath.exp(1j * fr.phi1) * coherent_state(c1, ncut).amplitudes
-        + cmath.exp(1j * fr.phi2) * coherent_state(c2, ncut).amplitudes
-    )
-    amps = cmath.exp(1j * fr.xi) * raw / np.linalg.norm(raw)
-    out = FieldState(amps)
-    out.require_tail()
-    return out
+    phase = cmath.exp(1j * fr.xi)
+    return _superposition([(phase * cmath.exp(1j * fr.phi1), coherent_state(c1, ncut)),
+                           (phase * cmath.exp(1j * fr.phi2), coherent_state(c2, ncut))])[0]
 
 
 def evolve_fock_leading(params: ModelParams, k: int, t: float, ncut: int) -> FieldState:
     """Leading-order evolution of (|0> + |k>)/sqrt(2): a coherent
     branch |beta'> plus a displaced number branch e^{-i k t}
     |k, beta'>, with global phase xi; renormalized after truncation
-    (the branches are exactly orthogonal for k != 0)."""
+    (the branches are exactly orthogonal for k != 0).  At k = 0 it is
+    the vacuum's evolution, |beta'> alone."""
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
     fr = frame(params, 0.0, 0.0, t)
-    zero_branch = coherent_state(fr.beta_prime, ncut).amplitudes
-    if k == 0:
-        raw = zero_branch
-    else:
-        k_branch = displaced_number_state(k, fr.beta_prime, ncut).amplitudes
-        raw = (zero_branch + cmath.exp(-1j * k * t) * k_branch) / math.sqrt(2)
-    amps = cmath.exp(1j * fr.xi) * raw / np.linalg.norm(raw)
-    out = FieldState(amps)
-    out.require_tail()
-    return out
+    phase = cmath.exp(1j * fr.xi)
+    terms = [(phase, coherent_state(fr.beta_prime, ncut))]
+    if k:
+        terms.append((phase * cmath.exp(-1j * k * t),
+                      displaced_number_state(k, fr.beta_prime, ncut)))
+    return _superposition(terms)[0]
 
 
 def asymptotic_branch_ratio(k: int, n: int, beta_prime: complex) -> complex:

@@ -399,6 +399,17 @@ class TestEvolveExact:
         with pytest.raises(CutoffError, match="tail mass"):
             evolve_exact(st, math.pi)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_tail_checked_at_every_time(self, t):
+        # 8 of 12 equal levels sit in the band n > 11 - 8: every yielded
+        # state, the one at t = 0 included, fails the tail check
+        p = params_for(2, 0.1)
+        st = JointState.from_product(FieldState(np.ones(12) / math.sqrt(12)), chi_state(2), p)
+        with pytest.raises(CutoffError, match="tail mass"):
+            evolve_exact(st, t)
+        with pytest.raises(CutoffError, match="tail mass"):
+            list(evolve_grid(st, t, 3))
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n_atoms=st.integers(1, 4), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),
            alpha=st.complex_numbers(max_magnitude=1.0),

@@ -4,7 +4,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +82,13 @@ class TestParseConfig:
     def test_non_finite_value_named(self, token):
         with pytest.raises(ValidationError, match="'alpha'"):
             parse_config(f"alpha = {token}")
+
+    def test_only_whole_line_comments(self):
+        # a '#' after a value is not a comment: the value fails to parse,
+        # and a '#' inside a JSON string is kept
+        with pytest.raises(ValidationError, match="value for 'g'"):
+            parse_config("g = 0.25  # coupling")
+        assert parse_config('out_dir = "runs/#1"') == {"out_dir": "runs/#1"}
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -667,6 +678,26 @@ class TestBenchmarkPins:
             mod_name, _, func_name = target.rpartition(".")
             func = getattr(importlib.import_module(mod_name), func_name, None)
             assert callable(func), target
+
+    @pytest.mark.parametrize("workload, nnz", [("cat-exact", 8869),
+                                               ("convergence-cat", 3747)])
+    def test_traced_child_runs(self, tmp_path, workload, nnz):
+        # a traced run reads attributes of what the targets return, such as
+        # build_hamiltonian(...).matrix.nnz, which no name check covers
+        config, drawn = _load_perfbench("inputs").draw(workload, 0)
+        pinned = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", "--workload", workload,
+             "--config", json.dumps(config), "--drawn", json.dumps(drawn),
+             "--out", str(tmp_path / "out"), "--spawn-ns", str(time.monotonic_ns()),
+             "--trace"],
+            cwd=_PERFBENCH.parent, env=dict(os.environ, **pinned),
+            capture_output=True, text=True, timeout=150)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["failed"] == 0, result["failures"]
+        assert result["layers"]["evolver.build_hamiltonian.nnz"] == nnz
 
     def test_workload_configs_validate(self):
         inputs = _load_perfbench("inputs")
