@@ -39,7 +39,8 @@ def _common_options(fn):
     fn = click.option("--out", "out_dir", default=None,
                       help="Output directory (default from config).")(fn)
     fn = click.option("--workers", default=None, type=int,
-                      help="Concurrent sweep points.")(fn)
+                      help="Accepted for old configs; sweep points run "
+                           "one after another in this thread.")(fn)
     fn = click.option("--seed", default=None, type=int,
                       help="Base RNG seed (u64).")(fn)
     fn = click.option("--emit", "emit", multiple=True,

@@ -15,7 +15,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -186,7 +185,7 @@ class ScenarioConfig:
     n_steps: int = 16
     grid_spacing: float = 0.1
     seed: int = 0
-    workers: int = 1
+    workers: int = 1                   # validated only: sweep points run in the caller's thread
     out_dir: str | None = None         # None resolves to runs/<study>
     emit_wigner_bin: bool = False
     sweep_axis: str | None = None
@@ -211,7 +210,8 @@ class ScenarioConfig:
         _require(self.fock_k >= 0, "fock_k", f"must be >= 0, got {self.fock_k}")
         _require(self.initial_state in ("vacuum", "cat", "fock"), "initial_state",
                  f"must be vacuum, cat, or fock, got {self.initial_state!r}")
-        if self.study in ("dyson-scaling", "convergence"):
+        # a delta sweep replaces delta at every point, and point() checks each
+        if self.study in ("dyson-scaling", "convergence") and self.sweep_axis != "delta":
             _require(self.delta > 0, "delta",
                      f"{self.study} measures detuning corrections; need delta > 0")
 
@@ -634,14 +634,15 @@ def _sweep_order(value: Any) -> tuple:
 
 
 def run_sweep(config: ScenarioConfig) -> tuple[list[RunRecord | None], dict]:
-    """Evaluate every sweep point (possibly concurrently) and write the
-    aggregate JSON.
+    """Evaluate every sweep point in the calling thread, in sorted axis
+    order, and write the aggregate JSON.
 
-    Points are keyed and merged by axis value, so neither the worker
-    count nor the order the values were written in the config can change
-    any output byte.  A failed point is recorded and the aggregate is
-    marked partial; the other points still run.  A config without a sweep
-    axis is one point run in ``out_dir`` itself, and its error is raised.
+    Points are keyed by axis value, so neither ``workers`` nor the order
+    the values were written in the config can change any output byte.  A
+    failed point is recorded with its error and, when the error carries
+    them, its diagnostics; the aggregate is marked partial and the other
+    points still run.  A config without a sweep axis is one point run in
+    ``out_dir`` itself, and its error is raised.
     """
     out = Path(config.out_dir)
     axis = config.sweep_axis
@@ -651,37 +652,31 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[RunRecord | None], dict]:
         values = sorted(config.sweep_values, key=_sweep_order)
         dirs = [str(out / _point_dir_name(axis, v)) for v in values]
 
-    def attempt(point):
-        value, pdir = point
-        if axis is None:
-            return run_scenario(config), None
-        try:
-            return run_scenario(config.point(value, pdir)), None
-        except ThermolimError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(attempt, zip(values, dirs)))
-
-    records = [rec for rec, _ in outcomes]
+    records: list[RunRecord | None] = []
     entries = []
     fit_points = []
-    partial = False
-    for value, pdir, (rec, err) in zip(values, dirs, outcomes):
+    for value, pdir in zip(values, dirs):
         entry: dict[str, Any] = {"value": value, "out_dir": pdir}
-        if rec is None:
-            entry["error"] = err
-            partial = True
-        else:
-            entry["summary"] = rec.summary
-            entry["flags"] = list(rec.convergence_flags)
-            fit_points.append((value, rec.summary))
         entries.append(entry)
+        try:
+            rec = run_scenario(config if axis is None else config.point(value, pdir))
+        except ThermolimError as exc:
+            if axis is None:
+                raise
+            records.append(None)
+            entry["error"] = f"{type(exc).__name__}: {exc}"
+            if getattr(exc, "diagnostics", None):
+                entry["diagnostics"] = exc.diagnostics
+            continue
+        records.append(rec)
+        entry["summary"] = rec.summary
+        entry["flags"] = list(rec.convergence_flags)
+        fit_points.append((value, rec.summary))
 
     aggregate = {
         "study": config.study,
         "axis": axis,
-        "partial": partial,
+        "partial": len(fit_points) < len(values),
         "points": entries,
         "aggregates": _sweep_aggregates(config.study, axis, fit_points),
     }

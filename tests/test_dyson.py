@@ -144,6 +144,8 @@ _RUNTIME_PROBE = """
 import json, sys
 from thermolim import harness
 
+pools = sorted(m for m in ("concurrent.futures", "queue") if m in sys.modules)
+
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
@@ -163,18 +165,20 @@ for i, raw in enumerate(configs):
     config = harness.ScenarioConfig.from_mapping(raw, out_dir=f"{sys.argv[1]}/{i}")
     (harness.run_sweep if config.sweep_axis else harness.run_scenario)(config)
     seen += scipy_modules()
-print(json.dumps({"scipy": seen, "new": sorted(set(sys.modules) - before)}))
+print(json.dumps({"scipy": seen, "pools": pools,
+                  "new": sorted(set(sys.modules) - before)}))
 """
 
 
 def test_runtime_loads_no_scipy_and_nothing_lazily(tmp_path):
-    # the runtime is numpy-only, and importing the driver loads every module
-    # the studies and a threaded sweep use, so none loads inside the work
-    # (numpy loads numpy.fft and numpy.random lazily)
+    # the runtime is numpy-only, importing the driver loads no thread pool
+    # (sweep points run in the caller's thread) but every module the
+    # studies and a sweep use, so none loads inside the work (numpy loads
+    # numpy.fft and numpy.random lazily)
     src = str(Path(thermolim.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _RUNTIME_PROBE, str(tmp_path)], cwd=src,
                          check=True, capture_output=True, text=True).stdout
-    assert json.loads(out.splitlines()[-1]) == {"scipy": [], "new": []}
+    assert json.loads(out.splitlines()[-1]) == {"scipy": [], "pools": [], "new": []}
 
 
 # ------------------------------------------------- first-order transfer

@@ -8,15 +8,18 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import short_bessel_window
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermolim import evolver, harness
 from thermolim.cli import main as cli_main
 from thermolim.errors import CapacityError, ValidationError
 from thermolim.harness import (
@@ -458,6 +461,21 @@ class TestRunSweep:
                 pt["out_dir"] = None
         assert s1 == s4
 
+    def test_points_run_in_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = []
+
+        def recording_run(config):
+            threads.append(threading.get_ident())
+            return run_scenario(config)
+
+        monkeypatch.setattr(harness, "run_scenario", recording_run)
+        records, _ = run_sweep(make_config(
+            study="spin-classical", delta=1.0, n_steps=2, workers=2,
+            sweep_axis="n_atoms", sweep_values=[4, 8, 16, 32],
+            out_dir=str(tmp_path)))
+        assert threads == [threading.get_ident()] * 4
+        assert [r.config.n_atoms for r in records] == [4, 8, 16, 32]
+
     def test_value_order_cannot_change_bytes(self, tmp_path):
         base = dict(study="spin-classical", delta=1.0, n_steps=2, seed=5,
                     out_dir=str(tmp_path))
@@ -494,6 +512,37 @@ class TestRunSweep:
         assert "alpha" in failed["error"]
         assert records[0] is not None and records[1] is None
         assert (tmp_path / "alpha_1p0" / "cat.csv").exists()
+
+    def test_failed_point_keeps_diagnostics(self, tmp_path, monkeypatch):
+        # a Bessel window cut short fails the exact evolver's truncation
+        # check; its diagnostics reach the point's sweep.json entry, and a
+        # validation failure, which has none, gets no such key
+        monkeypatch.setattr(evolver, "_bessel_window", short_bessel_window)
+        records, aggregate = run_sweep(make_config(
+            study="cat", g=0.3, delta=0.1, n_atoms=2, phi=0.7, t_max=6.0,
+            n_steps=2, sweep_axis="alpha", sweep_values=[-1.0, 1.5],
+            out_dir=str(tmp_path)))
+        assert records == [None, None]
+        bad_alpha, short_window = aggregate["points"]
+        assert bad_alpha["error"].startswith("ValidationError: alpha")
+        assert "diagnostics" not in bad_alpha
+        assert short_window["error"].startswith("IntegrationError: truncation")
+        assert short_window["diagnostics"]["error_estimate"] > 1e-8
+        on_disk = json.loads((tmp_path / "sweep.json").read_text())
+        assert on_disk["points"][1]["diagnostics"] == short_window["diagnostics"]
+
+    def test_delta_sweep_fails_only_its_zero_point(self, tmp_path):
+        # every point replaces delta, so the delta > 0 rule applies to the
+        # points, not to the base config's default delta = 0
+        records, aggregate = run_sweep(make_config(
+            study="convergence", g=0.25, n_atoms=2, alpha=1.0, t_max=math.pi,
+            n_steps=2, sweep_axis="delta", sweep_values=[0.025, 0.0, 0.0125],
+            out_dir=str(tmp_path)))
+        assert aggregate["partial"]
+        assert [e["value"] for e in aggregate["points"]] == [0.0, 0.0125, 0.025]
+        assert aggregate["points"][0]["error"].startswith(
+            "ValidationError: delta: convergence measures detuning corrections")
+        assert records[0] is None and None not in records[1:]
 
     def test_unbounded_cutoff_fails_only_its_point(self, tmp_path):
         # N = 10**6 would ask choose_cutoff for a ~5e11-entry table and
