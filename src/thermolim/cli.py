@@ -2,7 +2,7 @@
 
 One subcommand per study plus ``sweep``::
 
-    thermolim <study> --config <file> [--out <dir>] [--workers <n>] [--seed <u64>]
+    thermolim <study> --config <file> [--out <dir>] [--seed <u64>]
     thermolim sweep --config <file> [...]
 
 ``--emit wigner-bin`` switches the averaged Wigner artifact to the
@@ -38,9 +38,6 @@ def _common_options(fn):
                       help="Flat key = value config file (JSON-typed values).")(fn)
     fn = click.option("--out", "out_dir", default=None,
                       help="Output directory (default from config).")(fn)
-    fn = click.option("--workers", default=None, type=int,
-                      help="Accepted for old configs; sweep points run "
-                           "one after another in this thread.")(fn)
     fn = click.option("--seed", default=None, type=int,
                       help="Base RNG seed (u64).")(fn)
     fn = click.option("--emit", "emit", multiple=True,
@@ -49,12 +46,11 @@ def _common_options(fn):
     return fn
 
 
-def _run(config_path, out_dir, workers, seed, emit, study=None) -> None:
+def _run(config_path, out_dir, seed, emit, study=None) -> None:
     """Run the config's sweep (one point without an axis) and report it."""
     try:
         config = ScenarioConfig.from_mapping(
-            load_config(config_path), study=study, out_dir=out_dir,
-            workers=workers, seed=seed,
+            load_config(config_path), study=study, out_dir=out_dir, seed=seed,
             emit_wigner_bin=True if "wigner-bin" in emit else None)
         records, aggregate = run_sweep(config)
     except ThermolimError as exc:

@@ -312,8 +312,8 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
 def evolve_grid(state: JointState, t: float, steps: int):
     """Propagate under the Hamiltonian of ``state``'s params and cutoff
     over the grid t_k = k t / steps, k = 0..steps, in one
-    :func:`expm_checked` call; yields the state at each t_k in turn, the
-    first being ``state`` itself.
+    :func:`expm_checked` call; yields the state at each t_k in turn,
+    t = 0 included.
 
     With Delta = 0 the Hamiltonian is block diagonal in the sectors, so
     only the occupied sectors (columns holding a nonzero amplitude) are
@@ -323,22 +323,21 @@ def evolve_grid(state: JointState, t: float, steps: int):
 
     At every grid point the Bessel tail bound of the truncation must stay
     within 1e-8 and the norm within 1e-9, else an :class:`IntegrationError`
-    carries the diagnostics; each yielded state is built from its grid row
-    only when it is yielded, and its field marginal must pass the Fock
-    tail check of :meth:`FieldState.require_tail`."""
+    carries the diagnostics; each yielded state, the first as well, is
+    built from its grid row only when it is yielded, and its field marginal
+    must pass the Fock tail check of :meth:`FieldState.require_tail`."""
     if t < 0:
         raise DomainError(f"need t >= 0, got {t}")
     if steps < 1:
         raise DomainError(f"need steps >= 1, got {steps}")
     h, v0 = build_hamiltonian(state.params, state.ncut).matrix, state.vector()
-    yield state
     rows = slice(None)
     occupied = np.any(state.amplitudes != 0, axis=0)
     if state.params.delta == 0 and not occupied.all():
         rows = np.repeat(occupied, state.ncut + 1)  # sector-major: q on a block of rows
         h, v0 = h.sectors(occupied), v0[rows]
     out, _ = expm_checked(t, h, v0, steps=steps)
-    for row in out[1:]:
+    for row in out:
         full = np.zeros(state.amplitudes.size, dtype=np.complex128)
         full[rows] = row
         point = JointState.from_vector(full, state.params)

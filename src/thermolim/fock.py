@@ -115,13 +115,10 @@ class FieldState:
 
 
 def overlap(a: FieldState, b: FieldState) -> complex:
-    """Inner product <a|b>; the shorter vector is zero-padded."""
-    n = max(a.amplitudes.size, b.amplitudes.size)
-    va = np.zeros(n, np.complex128)
-    vb = np.zeros(n, np.complex128)
-    va[: a.amplitudes.size] = a.amplitudes
-    vb[: b.amplitudes.size] = b.amplitudes
-    return complex(np.vdot(va, vb))
+    """Inner product <a|b> over the levels both states hold: the longer
+    vector's extra levels would only meet zeros in the shorter one."""
+    n = min(a.amplitudes.size, b.amplitudes.size)
+    return complex(np.vdot(a.amplitudes[:n], b.amplitudes[:n]))
 
 
 def _support(amps: np.ndarray, tol: float) -> int:

@@ -119,7 +119,11 @@ def parse_config(text: str) -> dict[str, Any]:
 
 
 def load_config(path) -> dict[str, Any]:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: config file is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def _require(cond: bool, name: str, msg: str) -> None:
@@ -329,15 +333,21 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.n_steps + 1)
 
 
-def _initial_field(config: ScenarioConfig, kind: str) -> FieldState:
-    """The cat, the model's (|0> + |k>)/sqrt2 superposition, or vacuum, on
-    the Fock cutoff that ``kind`` alone needs."""
-    p = config.params
+def _leading_field(config: ScenarioConfig, kind: str, t: float,
+                   ncut: int) -> FieldState:
+    """Closed leading-order field at t of the cat, the model's
+    (|0> + |k>)/sqrt2 superposition, or vacuum."""
     if kind == "cat":
-        return cat_state(config.alpha, config.phi,
-                         choose_cutoff(p, config.alpha, 0))[0]
+        return evolve_cat_leading(config.params, config.alpha, config.phi, t, ncut)
     k = config.fock_k if kind == "fock" else 0
-    return evolve_fock_leading(p, k, 0.0, choose_cutoff(p, 0.0, k))
+    return evolve_fock_leading(config.params, k, t, ncut)
+
+
+def _initial_field(config: ScenarioConfig, kind: str) -> FieldState:
+    """The ``kind`` field at t = 0 on the Fock cutoff that it alone needs."""
+    ncut = choose_cutoff(config.params, config.alpha if kind == "cat" else 0.0,
+                         config.fock_k if kind == "fock" else 0)
+    return _leading_field(config, kind, 0.0, ncut)
 
 
 @dataclass
@@ -392,14 +402,6 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     cols = ("t", "mean_x", "mean_y", "mean_z", "var_x", "var_y", "var_z",
             "fluctuation_ratio", "closed_vs_brute_max_dev")
     return _StudyResult(cols, rows, summary, [], [])
-
-
-def _leading_field(config: ScenarioConfig, kind: str, t: float,
-                   ncut: int) -> FieldState:
-    """Closed leading-order field of the cat or the Fock superposition."""
-    if kind == "cat":
-        return evolve_cat_leading(config.params, config.alpha, config.phi, t, ncut)
-    return evolve_fock_leading(config.params, config.fock_k, t, ncut)
 
 
 def _exact_trajectory(config: ScenarioConfig, kind: str, field0: FieldState):

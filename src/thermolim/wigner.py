@@ -356,12 +356,14 @@ def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
 
 
 def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float) -> int:
-    """Sign changes of the central fringe cos(offset(t)) at 4096 midpoint
-    samples over one field period; grows linearly with N at fixed
-    coupling ratio."""
-    ts = (np.arange(4096) + 0.5) * (2 * math.pi / 4096)
-    vals = np.cos([interference_phase_offset(params, alpha, phi, t) for t in ts])
-    return int(np.count_nonzero(np.diff(np.sign(vals)) != 0))
+    """Zero crossings of the central fringe cos(offset(t)) over one field
+    period; grows linearly with N at fixed coupling ratio.  offset(t) =
+    A + B (1 - cos t) sweeps the open interval between its values at t = 0
+    and t = pi twice, so each level (k + 1/2) pi strictly inside it is
+    crossed twice; a level at an end is only touched."""
+    lo, hi = sorted(interference_phase_offset(params, alpha, phi, t) for t in (0.0, math.pi))
+    levels = math.ceil(hi / math.pi - 0.5) - math.floor(lo / math.pi - 0.5) - 1
+    return 2 * max(levels, 0)
 
 
 @dataclass(frozen=True)
@@ -491,7 +493,10 @@ def save_csv(grid: WignerGrid, path) -> None:
 
 def load_csv(path) -> WignerGrid:
     """Read a :func:`save_csv` file; rows off its x-major uniform grid are rejected."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:  # a non-numeric cell or a row of another length
+        raise ValidationError(f"{path}: unreadable x,p,W rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:
         raise ValidationError(f"{path}: expected x,p,W columns")
     xs = np.unique(data[:, 0])

@@ -300,7 +300,8 @@ class TestEvolveExact:
         state = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
         t = 2 * math.pi
         grid = list(evolve_grid(state, t, steps))
-        assert len(grid) == steps + 1 and grid[0] is state
+        assert len(grid) == steps + 1
+        assert np.array_equal(grid[0].amplitudes, state.amplitudes)
         for point in grid[1:]:
             state = evolve_exact(state, t / steps)
             assert np.linalg.norm(point.amplitudes - state.amplitudes) <= 1e-12
@@ -409,6 +410,8 @@ class TestEvolveExact:
             evolve_exact(st, t)
         with pytest.raises(CutoffError, match="tail mass"):
             list(evolve_grid(st, t, 3))
+        with pytest.raises(CutoffError, match="tail mass"):
+            next(evolve_grid(st, t, 3))  # the first point, at t = 0
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(n_atoms=st.integers(1, 4), delta=st.floats(0.0, 0.5), g=st.floats(0.0, 0.2),

@@ -606,7 +606,7 @@ class TestCli:
                        encoding="utf-8")
         out = tmp_path / "o"
         written = []
-        for command in (["spin-classical"], ["sweep", "--workers", "2"]):
+        for command in (["spin-classical"], ["sweep"]):
             result = CliRunner().invoke(
                 cli_main, command + ["--config", str(cfg), "--out", str(out)])
             assert result.exit_code == 0, result.output
@@ -658,8 +658,7 @@ class TestCli:
                        'sweep_axis = "n_atoms"\nsweep_values = [4, 8, 16, 32]\n',
                        encoding="utf-8")
         result = CliRunner().invoke(
-            cli_main, ["sweep", "--config", str(cfg),
-                       "--out", str(tmp_path / "o"), "--workers", "2"])
+            cli_main, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
         line = next(l for l in result.output.splitlines()
                     if l.startswith("exponent_fluctuation:"))
@@ -688,6 +687,26 @@ class TestCli:
     def test_missing_config_flag_is_usage_error(self):
         result = CliRunner().invoke(cli_main, ["cat"])
         assert result.exit_code == 2
+
+    def test_workers_option_is_gone(self, tmp_path):
+        # sweep points run in the calling thread; the config key still validates
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_atoms = 2\nn_steps = 2\nworkers = 2\n", encoding="utf-8")
+        result = CliRunner().invoke(
+            cli_main, ["cat", "--config", str(cfg), "--workers", "2"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--workers" in result.output
+        result = CliRunner().invoke(
+            cli_main, ["cat", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+
+    def test_non_utf8_config_is_a_message(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"g = 0.25\nout_dir = \"r\xe9sum\xe9\"\n")  # Latin-1
+        result = CliRunner().invoke(cli_main, ["cat", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "bad.cfg: config file is not UTF-8" in result.output
 
 
 # ---------------------------------------------------------------- README

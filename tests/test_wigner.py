@@ -354,6 +354,24 @@ class TestWIntClosed:
         c8 = count_time_zero_crossings(params_for(8, 0.25), 2.0, math.pi / 2)
         assert (c4, c8) == (10, 20)
 
+    def test_zero_crossing_count_at_fast_fringes(self):
+        # N g = 192, alpha = 3: the offset moves by up to 2304 / 4096 * 2 pi > pi
+        # between two of 4096 samples; a sampled count over 2^22 midpoints,
+        # in chunks carrying the last sign across, resolves every crossing
+        n_atoms, g, alpha, phi = 192, 1.0, 3.0, math.pi / 2
+        a, b = alpha**2 * math.sin(2 * phi), 4 * alpha * n_atoms * g * math.sin(phi)
+        total, chunk = 1 << 22, 1 << 20
+        crossings, last = 0, None
+        for i0 in range(0, total, chunk):
+            ts = (np.arange(i0, i0 + chunk) + 0.5) * (2 * math.pi / total)
+            signs = np.sign(np.cos(a + b * (1 - np.cos(ts))))
+            if last is not None:
+                signs = np.concatenate(([last], signs))
+            crossings += int(np.count_nonzero(np.diff(signs)))
+            last = signs[-1]
+        assert crossings == 2934
+        assert count_time_zero_crossings(params_for(n_atoms, g), alpha, phi) == crossings
+
     def test_fitted_offset_recovers_analytic_value(self):
         p = params_for(4, 0.25)
         alpha, phi = 2.0, math.pi / 2
@@ -648,6 +666,14 @@ class TestSerialization:
                  if line.startswith("-0.25,") else line for line in lines]
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValidationError, match="w.csv: x,p columns"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("edit", ["cell", "ragged"])
+    def test_csv_unreadable_row_rejected(self, tmp_path, edit):
+        path, lines = self._csv_lines(tmp_path)
+        lines[3] = "abc,0,0\n" if edit == "cell" else "0,0\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match="w.csv: unreadable"):
             load_csv(path)
 
     def test_csv_roundtrip_and_format(self, tmp_path):
