@@ -49,7 +49,6 @@ from .propagator import (
     asymptotic_branch_ratio,
     evolve_cat_leading,
     evolve_fock_leading,
-    frame,
     sector_frame,
 )
 from .wigner import (

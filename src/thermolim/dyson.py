@@ -62,7 +62,9 @@ output, or a Fourier coefficient at the window edge l = M/2 above
 rounding when the window is wide enough (1.4e-16 of the largest at
 N = 16, g = 0.3), so a 1e-16 bar would trip on rounding alone.  The fine pass
 must keep its small-ladder tail below the cutoff budget, and the
-lab-frame field its own and its norm (U_m is unitary), else ``CutoffError``.
+lab-frame field its norm (U_m is unitary) and its own tail below the same
+budget, relative like the first to the field's squared norm, else
+``CutoffError``.
 """
 
 from __future__ import annotations
@@ -332,10 +334,12 @@ def _corrections(order: int, params: ModelParams, t: float, steps: int,
         for k in firsts if j == 1 else [steps]:
             amps = scale * _require_kept(
                 hi[k], _sector_map(hi[k], sector, params, times[k], ncut))
-            field = FieldState(amps, normalized=False).require_tail()
+            amplitude = float(np.linalg.norm(amps))
+            field = FieldState(amps, normalized=False).require_tail(
+                TAIL_TOL * amplitude ** 2)
             e = float(err[k])
             row_records.append(CorrectionRecord(
-                amplitude_norm=float(np.linalg.norm(amps)), field_correction=field,
+                amplitude_norm=amplitude, field_correction=field,
                 diagnostics={"nodes": 2 * nodes, "error_estimate": e},
                 converged=e <= _REL_TOL))
         records.append(row_records)

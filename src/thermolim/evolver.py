@@ -51,7 +51,7 @@ from .fock import (
     _bessel_window,
     overlap,
 )
-from .spins import CollectiveState, sigma_z_coupling
+from .spins import CollectiveState, sigma_x_eigenvalues, sigma_z_coupling
 
 __all__ = [
     "CAPACITY_LIMIT",
@@ -215,7 +215,7 @@ def build_hamiltonian(params: ModelParams, ncut: int) -> HamiltonianSpec:
         raise CapacityError(
             f"state dimension {dimf * dims} exceeds limit {CAPACITY_LIMIT}")
     n = np.arange(dimf, dtype=float)
-    m = params.n_atoms - 2.0 * np.arange(dims)
+    m = sigma_x_eigenvalues(params.n_atoms)
     # row n of sector q to row n + 1: g m_q sqrt(n + 1); none to the next sector
     ladder = np.zeros((dims, dimf))
     ladder[:, :-1] = np.outer(params.g * m, np.sqrt(n[1:]))

@@ -10,6 +10,7 @@ resolved config; wall-clock time lives only in the JSON metadata.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -36,7 +37,7 @@ from .evolver import (
     project_chi,
 )
 from .fock import CAPACITY_LIMIT, FieldState, ModelParams, cat_state, choose_cutoff
-from .propagator import evolve_cat_leading, evolve_fock_leading, frame
+from .propagator import evolve_cat_leading, evolve_fock_leading, sector_frame
 from .spins import (
     BRUTE_FORCE_LIMIT,
     ProductSpinSpec,
@@ -445,10 +446,10 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     # cover every branch center the window visits
     centers = []
     for t in np.linspace(0.0, config.t_max, 65):
-        fr = frame(p, a, ph, t)
+        beta_prime = sector_frame(p.n_atoms, p, t)[1] * cmath.exp(-1j * t)
         rot = np.exp(-1j * t)
-        centers.append(fr.beta_prime + a * np.exp(1j * ph) * rot)
-        centers.append(fr.beta_prime + a * np.exp(-1j * ph) * rot)
+        centers.append(beta_prime + a * np.exp(1j * ph) * rot)
+        centers.append(beta_prime + a * np.exp(-1j * ph) * rot)
     grid = default_grid(centers, spacing=config.grid_spacing)
 
     rows = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from .fock import (
 )
 
 __all__ = [
-    "AnalyticFrame",
-    "frame",
     "sector_frame",
     "apply_uf_sector",
     "evolve_cat_leading",
@@ -49,51 +46,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnalyticFrame:
-    """The time-t closed-form quantities for the extremal sector.
-
-    phi1/phi2 are the branch phases picked up when the displacement
-    lands on each coherent branch of the cat.
-    """
-
-    xi: float
-    beta: complex
-    beta_prime: complex
-    phi1: float
-    phi2: float
-
-
 def sector_frame(m: int, params: ModelParams, t: float) -> tuple[float, complex]:
-    """Phase xi_m and displacement beta_m for the sector with
-    collective sigma-x eigenvalue m in {-N, -N+2, ..., N}."""
+    """Phase xi_m(t) and displacement beta_m(t) of U_m(t) for the sector
+    with collective sigma-x eigenvalue m in {-N, -N+2, ..., N}: the one
+    closed form that every evolved state here is built from, for t >= 0."""
+    if t < 0:
+        raise DomainError(f"need t >= 0, got {t}")
     N = params.n_atoms
     if m != int(m) or abs(m) > N or (N - m) % 2 != 0:
         raise DomainError(f"m={m} is not a sigma-x eigenvalue for N={N}")
     ratio = m * params.g
     return ratio**2 * (t - math.sin(t)), ratio * (1.0 - cmath.exp(1j * t))
-
-
-def frame(params: ModelParams, alpha: float, phi: float, t: float) -> AnalyticFrame:
-    """All closed-form quantities at time t for the extremal sector
-    (m = N) and a cat of radius ``alpha``, opening angle ``phi``.
-
-    The branch phases are computed two ways — displacement composition
-    D[b]D[c] = e^{i Im(b conj(c))} D[b+c], and the half-difference form
-    -i alpha (b e^{-i phi} - conj(b) e^{i phi})/2 — and must agree to
-    1e-10; the composition value is the one returned.
-    """
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
-    xi, beta = sector_frame(params.n_atoms, params, t)
-    beta_prime = beta * cmath.exp(-1j * t)
-    phi1 = alpha * (beta * cmath.exp(-1j * phi)).imag
-    phi2 = alpha * (beta * cmath.exp(1j * phi)).imag
-    alt1 = (-1j * alpha * (beta * cmath.exp(-1j * phi) - beta.conjugate() * cmath.exp(1j * phi)) / 2)
-    alt2 = (-1j * alpha * (beta * cmath.exp(1j * phi) - beta.conjugate() * cmath.exp(-1j * phi)) / 2)
-    if abs(alt1.real - phi1) > 1e-10 or abs(alt2.real - phi2) > 1e-10:
-        raise DomainError("branch-phase conventions disagree beyond 1e-10")
-    return AnalyticFrame(xi=xi, beta=beta, beta_prime=beta_prime, phi1=phi1, phi2=phi2)
 
 
 def _sector_map(x: np.ndarray, m: int, params: ModelParams, t: float,
@@ -122,30 +85,38 @@ def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) ->
     """Apply the sector propagator U_m(t) to a field state: the
     displacement acts first, then the free rotation, then the scalar
     phase.  The result is the raw linear image (no renormalization);
-    truncation leakage is certified by the lost norm and the tail check."""
+    truncation leakage is certified by the lost norm and the tail check,
+    both relative to the squared norm, so an unnormalized input is held
+    to the same budget."""
     amps = _require_kept(state.amplitudes,
                          _sector_map(state.amplitudes, m, params, t, state.ncut))
-    out = FieldState(amps, normalized=bool(abs(np.linalg.norm(amps) - 1.0) <= 1e-10))
-    out.require_tail()
-    return out
+    norm = float(np.linalg.norm(amps))
+    return FieldState(amps, normalized=bool(abs(norm - 1.0) <= 1e-10)).require_tail(
+        TAIL_TOL * norm ** 2)
 
 
 def evolve_cat_leading(
     params: ModelParams, alpha: float, phi: float, t: float, ncut: int
 ) -> FieldState:
-    """Leading-order evolved cat: two coherent branches at
-    beta' + alpha e^{+-i phi - i t} with branch phases phi1/phi2
-    and global phase xi, renormalized after truncation.
+    """Leading-order evolved cat: U_N(t) on the cat of radius ``alpha``
+    and opening angle ``phi`` is two coherent branches at
+    beta' + alpha e^{+-i phi - i t}, with beta' = beta_N e^{-i t} from
+    :func:`sector_frame`, global phase xi_N and branch phases
+    alpha Im(beta_N e^{-+i phi}) from composing the displacements,
+    D[b]D[c] = e^{i Im(b conj(c))} D[b+c]; renormalized after truncation.
 
     The collective spin factor stays pinned to the extremal sector and
     is carried implicitly.
     """
-    fr = frame(params, alpha, phi, t)
-    c1 = fr.beta_prime + alpha * cmath.exp(1j * phi - 1j * t)
-    c2 = fr.beta_prime + alpha * cmath.exp(-1j * phi - 1j * t)
-    phase = cmath.exp(1j * fr.xi)
-    return _superposition([(phase * cmath.exp(1j * fr.phi1), coherent_state(c1, ncut)),
-                           (phase * cmath.exp(1j * fr.phi2), coherent_state(c2, ncut))])[0]
+    xi, beta = sector_frame(params.n_atoms, params, t)
+    beta_prime = beta * cmath.exp(-1j * t)
+    c1 = beta_prime + alpha * cmath.exp(1j * phi - 1j * t)
+    c2 = beta_prime + alpha * cmath.exp(-1j * phi - 1j * t)
+    phase = cmath.exp(1j * xi)
+    phi1 = alpha * (beta * cmath.exp(-1j * phi)).imag
+    phi2 = alpha * (beta * cmath.exp(1j * phi)).imag
+    return _superposition([(phase * cmath.exp(1j * phi1), coherent_state(c1, ncut)),
+                           (phase * cmath.exp(1j * phi2), coherent_state(c2, ncut))])[0]
 
 
 def evolve_fock_leading(params: ModelParams, k: int, t: float, ncut: int) -> FieldState:
@@ -156,12 +127,13 @@ def evolve_fock_leading(params: ModelParams, k: int, t: float, ncut: int) -> Fie
     the vacuum's evolution, |beta'> alone."""
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
-    fr = frame(params, 0.0, 0.0, t)
-    phase = cmath.exp(1j * fr.xi)
-    terms = [(phase, coherent_state(fr.beta_prime, ncut))]
+    xi, beta = sector_frame(params.n_atoms, params, t)
+    beta_prime = beta * cmath.exp(-1j * t)
+    phase = cmath.exp(1j * xi)
+    terms = [(phase, coherent_state(beta_prime, ncut))]
     if k:
         terms.append((phase * cmath.exp(-1j * k * t),
-                      displaced_number_state(k, fr.beta_prime, ncut)))
+                      displaced_number_state(k, beta_prime, ncut)))
     return _superposition(terms)[0]
 
 

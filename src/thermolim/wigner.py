@@ -15,6 +15,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import struct
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, ValidationError
 from .fock import FieldState, ModelParams, _support
-from .propagator import frame
+from .propagator import sector_frame
 
 __all__ = [
     "WignerGrid",
@@ -271,7 +272,7 @@ def _fringe_factors(params: ModelParams, alpha: float, phi: float, ts: np.ndarra
     that envelope * e^{i fringe phase} = fx[i, :, None] * fp[i, None, :]
     at ts[i].  Returns the (n, nx) and (n, np) stacks."""
     ts = np.asarray(ts, dtype=np.float64).ravel().tolist()
-    mids = np.array([frame(params, alpha, phi, t).beta_prime
+    mids = np.array([sector_frame(params.n_atoms, params, t)[1] * cmath.exp(-1j * t)
                      + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
                      for t in ts])
     xb, pb = math.sqrt(2) * mids.real[:, None], math.sqrt(2) * mids.imag[:, None]
@@ -492,9 +493,14 @@ def save_csv(grid: WignerGrid, path) -> None:
 
 
 def load_csv(path) -> WignerGrid:
-    """Read a :func:`save_csv` file; rows off its x-major uniform grid are rejected."""
+    """Read a :func:`save_csv` file; rows off its x-major uniform grid are
+    rejected, and every rejection names the path."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with open(path, encoding="utf-8") as f:
+            rows = f.read().splitlines()[1:]
+        if not any(row.strip() for row in rows):
+            raise ValidationError(f"{path}: no x,p,W rows")
+        data = np.loadtxt(rows, delimiter=",")
     except ValueError as exc:  # a non-numeric cell or a row of another length
         raise ValidationError(f"{path}: unreadable x,p,W rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:
@@ -504,8 +510,11 @@ def load_csv(path) -> WignerGrid:
     nx, npts = xs.size, ps.size
     if nx * npts != data.shape[0]:
         raise ValidationError(f"{path}: grid is not rectangular")
-    grid = WignerGrid(float(xs[0]), float(xs[-1]), float(ps[0]), float(ps[-1]),
-                      nx, npts, data[:, 2].reshape(nx, npts))
+    try:
+        grid = WignerGrid(float(xs[0]), float(xs[-1]), float(ps[0]), float(ps[-1]),
+                          nx, npts, data[:, 2].reshape(nx, npts))
+    except ValidationError as exc:  # values or axes the grid itself refuses
+        raise ValidationError(f"{path}: {exc}") from exc
     if not (np.array_equal(data[:, 0], np.repeat(grid.x_axis, npts))
             and np.array_equal(data[:, 1], np.tile(grid.p_axis, nx))):
         raise ValidationError(f"{path}: x,p columns are not an x-major uniform grid")

@@ -114,7 +114,7 @@ def w_int_meshgrid(grid, beta_prime: complex, alpha: float, phi: float,
                    wt: float, offset: float) -> np.ndarray:
     """Closed-form cat interference term evaluated pointwise on the full
     meshgrid, (2/pi) exp[-(x-xb)^2 - (p-pb)^2] cos[lin + offset], given
-    the frame's beta' and the fringe offset; the referee for the
+    beta' = beta_N e^{-i wt} and the fringe offset; the referee for the
     separable evaluation."""
     mid = beta_prime + alpha * math.cos(phi) * complex(math.cos(wt), -math.sin(wt))
     xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag

@@ -10,6 +10,7 @@ decay of the underlying integral), so the scaling clauses of
 than weakened.  See notes in the repository root for the analysis.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from thermolim.fock import (
     overlap,
 )
 from thermolim.harness import ScenarioConfig, run_sweep
-from thermolim.propagator import asymptotic_branch_ratio, evolve_cat_leading, frame
+from thermolim.propagator import asymptotic_branch_ratio, evolve_cat_leading, sector_frame
 from thermolim.spins import chi_prime_state, chi_state, random_spec, \
     sigma_moments_bruteforce, sigma_moments_closed, ProductSpinSpec
 from thermolim.wigner import default_grid, fit_interference_offset, time_average, \
@@ -47,6 +48,12 @@ def vacuum(ncut: int) -> FieldState:
     amps = np.zeros(ncut + 1, dtype=complex)
     amps[0] = 1.0
     return FieldState(amps)
+
+
+def beta_prime(p, t):
+    """beta' = beta_N(t) e^{-it}, the extremal sector's displacement in
+    the frame that rotates with the mode, from :func:`sector_frame`."""
+    return sector_frame(p.n_atoms, p, t)[1] * cmath.exp(-1j * t)
 
 
 def test_zero_detuning_closed_form_is_exact():
@@ -141,10 +148,10 @@ def test_cat_wigner_decomposition_matches_closed_fringe():
     norm2 = cat_norm_closed(alpha, phi) ** 2
     worst = 0.0
     for t in [0.0, math.pi / 2]:
-        fr = frame(p, alpha, phi, t)
+        bp = beta_prime(p, t)
         rot = complex(math.cos(t), -math.sin(t))
-        g1 = fr.beta_prime + alpha * np.exp(1j * phi) * rot
-        g2 = fr.beta_prime + alpha * np.exp(-1j * phi) * rot
+        g1 = bp + alpha * np.exp(1j * phi) * rot
+        g2 = bp + alpha * np.exp(-1j * phi) * rot
         grid = default_grid([g1, g2], spacing=0.1)
         full = wigner_numeric(evolve_cat_leading(p, alpha, phi, t, ncut), grid)
         b1 = wigner_numeric(coherent_state(g1, ncut), grid)
@@ -167,10 +174,10 @@ def test_fringe_washout_and_phase_linearity():
         p = ModelParams(delta=0.0, g=g, n_atoms=n)
         centers = []
         for t in np.linspace(0.0, 2 * math.pi, 65):
-            fr = frame(p, alpha, phi, t)
+            bp = beta_prime(p, t)
             rot = complex(math.cos(t), -math.sin(t))
-            centers.append(fr.beta_prime + alpha * np.exp(1j * phi) * rot)
-            centers.append(fr.beta_prime + alpha * np.exp(-1j * phi) * rot)
+            centers.append(bp + alpha * np.exp(1j * phi) * rot)
+            centers.append(bp + alpha * np.exp(-1j * phi) * rot)
         grid = default_grid(centers, spacing=0.15)
         averaged, _ = time_average(
             lambda ts: w_int_mean(p, alpha, phi, ts, grid),

@@ -453,6 +453,27 @@ class TestCorrectionChecks:
             with pytest.raises(CutoffError, match="lost"):
                 correction(p, math.pi, vacuum(674))
 
+    def test_lab_frame_tail_budget_is_relative(self, monkeypatch):
+        # a map that moves 1e-7 of the field's squared norm into level ncut
+        # keeps the norm, so only the tail check sees it; the corrections'
+        # squared norms (about 1e-3 and 1e-6 here) would hide that mass
+        # under an absolute 1e-8 budget
+        real = dyson._sector_map
+
+        def leaky(x, m, params, t, ncut):
+            out = real(x, m, params, t, ncut)
+            total = float(np.vdot(out, out).real)
+            out = out * math.sqrt(1.0 - 1e-7)
+            out[-1] = math.sqrt(abs(out[-1]) ** 2 + 1e-7 * total)
+            return out
+
+        monkeypatch.setattr(dyson, "_sector_map", leaky)
+        p = params_for(8, 0.3, delta=0.02)
+        initial = vacuum(choose_cutoff(p, 0.0, 0))
+        for correction in (first_order_correction, second_order_correction):
+            with pytest.raises(CutoffError, match="tail mass"):
+                correction(p, math.pi, initial)
+
     @staticmethod
     def faulty_pass(monkeypatch, fault):
         """Route every interaction-frame pass through ``fault(out, fine)``;

@@ -1,4 +1,4 @@
-"""Closed-form sector propagator: frames, cat/Fock evolution, asymptotics."""
+"""Closed-form sector propagator: sector frames, cat/Fock evolution, asymptotics."""
 
 import cmath
 import math
@@ -23,54 +23,84 @@ from thermolim.propagator import (
     asymptotic_branch_ratio,
     evolve_cat_leading,
     evolve_fock_leading,
-    frame,
     sector_frame,
 )
+from thermolim.wigner import WignerGrid, w_int_closed
 
 
 def params_for(n_atoms, g, delta=0.0):
     return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
 
 
+def branch_phases(beta, alpha, phi):
+    """The cat's branch phases alpha Im(beta e^{-+i phi}), from composing
+    D[beta] with each branch's displacement."""
+    return (alpha * (beta * cmath.exp(-1j * phi)).imag,
+            alpha * (beta * cmath.exp(1j * phi)).imag)
+
+
 # ---------------------------------------------------------------- frames
 
 class TestFrame:
+    # the extremal sector m = N, whose beta' = beta_N e^{-it} carries the cat
     def test_initial_time_is_identity(self):
-        fr = frame(params_for(4, 0.3), alpha=2.0, phi=0.7, t=0.0)
-        assert fr.xi == 0.0
-        assert fr.beta == 0.0
-        assert fr.beta_prime == 0.0
-        assert fr.phi1 == 0.0 and fr.phi2 == 0.0
+        p = params_for(4, 0.3)
+        xi, beta = sector_frame(4, p, t=0.0)
+        assert xi == 0.0
+        assert beta == 0.0
+        assert beta * cmath.exp(-1j * 0.0) == 0.0
+        assert branch_phases(beta, 2.0, 0.7) == (0.0, 0.0)
 
     def test_half_period_displacement_is_maximal(self):
         p = params_for(6, 0.2)
-        fr = frame(p, alpha=1.0, phi=0.0, t=math.pi)
-        assert fr.beta == pytest.approx(2 * 6 * 0.2, abs=1e-12)
-        assert abs(fr.beta.imag) < 1e-12
+        _, beta = sector_frame(6, p, t=math.pi)
+        assert beta == pytest.approx(2 * 6 * 0.2, abs=1e-12)
+        assert abs(beta.imag) < 1e-12
 
     def test_full_period_leaves_pure_phase(self):
         # N=4, g=0.25: (Ng)^2 * 2*pi = 2*pi
         p = params_for(4, 0.25)
-        fr = frame(p, alpha=1.5, phi=0.3, t=2 * math.pi)
-        assert abs(fr.beta) < 1e-12
-        assert fr.xi == pytest.approx(2 * math.pi, rel=1e-12)
+        xi, beta = sector_frame(4, p, t=2 * math.pi)
+        assert abs(beta) < 1e-12
+        assert xi == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_branch_phases_match_half_difference_form(self):
-        # g = 0.17 and t = 0.3, 1.1, 2.9, 7.0 at omega = 1.3
+        # g = 0.17 and t = 0.3, 1.1, 2.9, 7.0 at omega = 1.3; the
+        # composition phases are the ones evolve_cat_leading applies
         p = params_for(5, 0.17 / 1.3)
+        alpha, phi = 2.2, 1.1
+        ncut = choose_cutoff(p, alpha, 0)
         for t in [1.3 * 0.3, 1.3 * 1.1, 1.3 * 2.9, 1.3 * 7.0]:
-            fr = frame(p, alpha=2.2, phi=1.1, t=t)
-            alt1 = -1j * 2.2 * (fr.beta * cmath.exp(-1j * 1.1)
-                                - fr.beta.conjugate() * cmath.exp(1j * 1.1)) / 2
-            alt2 = -1j * 2.2 * (fr.beta * cmath.exp(1j * 1.1)
-                                - fr.beta.conjugate() * cmath.exp(-1j * 1.1)) / 2
+            xi, beta = sector_frame(5, p, t)
+            phi1, phi2 = branch_phases(beta, alpha, phi)
+            alt1 = -1j * alpha * (beta * cmath.exp(-1j * phi)
+                                  - beta.conjugate() * cmath.exp(1j * phi)) / 2
+            alt2 = -1j * alpha * (beta * cmath.exp(1j * phi)
+                                  - beta.conjugate() * cmath.exp(-1j * phi)) / 2
             assert abs(alt1.imag) < 1e-12 and abs(alt2.imag) < 1e-12
-            assert fr.phi1 == pytest.approx(alt1.real, abs=1e-10)
-            assert fr.phi2 == pytest.approx(alt2.real, abs=1e-10)
+            assert phi1 == pytest.approx(alt1.real, abs=1e-10)
+            assert phi2 == pytest.approx(alt2.real, abs=1e-10)
+            bp = beta * cmath.exp(-1j * t)
+            raw = cmath.exp(1j * xi) * (
+                cmath.exp(1j * alt1.real)
+                * coherent_state(bp + alpha * cmath.exp(1j * (phi - t)), ncut).amplitudes
+                + cmath.exp(1j * alt2.real)
+                * coherent_state(bp + alpha * cmath.exp(1j * (-phi - t)), ncut).amplitudes)
+            np.testing.assert_allclose(
+                evolve_cat_leading(p, alpha, phi, t, ncut).amplitudes,
+                raw / np.linalg.norm(raw), rtol=0, atol=1e-10)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(DomainError):
-            frame(params_for(2, 0.1), alpha=1.0, phi=0.0, t=-0.5)
+        # every closed form reads sector_frame, which is defined for t >= 0
+        p = params_for(2, 0.1)
+        grid = WignerGrid.empty(-1.0, 1.0, -1.0, 1.0, 0.25)
+        for call in [lambda: sector_frame(2, p, -0.5),
+                     lambda: evolve_cat_leading(p, 1.0, 0.0, -0.5, 20),
+                     lambda: evolve_fock_leading(p, 1, -0.5, 20),
+                     lambda: apply_uf_sector(coherent_state(0.5, 20), 0, p, -0.5),
+                     lambda: w_int_closed(p, 1.0, 0.5, -0.5, grid)]:
+            with pytest.raises(DomainError, match="t >= 0"):
+                call()
 
     def test_branch_separation_scale_halves_with_doubled_n(self):
         # alpha / |beta(pi)| = alpha / (2 N g): slope -1 in N.
@@ -78,8 +108,8 @@ class TestFrame:
         ns = np.array([2, 4, 8, 16, 32])
         ratios = []
         for n in ns:
-            fr = frame(params_for(int(n), g), alpha=alpha, phi=0.0, t=math.pi)
-            ratios.append(alpha / abs(fr.beta))
+            _, beta = sector_frame(int(n), params_for(int(n), g), t=math.pi)
+            ratios.append(alpha / abs(beta))
         slope = np.polyfit(np.log(ns), np.log(ratios), 1)[0]
         assert slope == pytest.approx(-1.0, abs=1e-12)
 
@@ -178,8 +208,15 @@ class TestApplyUfSector:
         assert got.shape == (ncut + 1,)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-
-# ----------------------------------------------------- leading-order states
+    def test_unnormalized_input_tail_budget_is_relative(self):
+        # 1e-6 of |x|^2 in the top level of an input of squared norm about
+        # 1e-4: the band holds 1e-10 in absolute terms, far more relative
+        # to the state than the 1e-8 budget allows
+        amps = np.zeros(41, complex)
+        amps[0], amps[40] = 1.0, 1e-3
+        psi = FieldState(1e-2 * amps, normalized=False)
+        with pytest.raises(CutoffError, match="tail mass"):
+            apply_uf_sector(psi, 4, params_for(4, 0.0), 0.9)
 
     def test_displacement_past_cutoff_raises(self):
         # sector 510 of N = 512 at g = 0.3 displaces the vacuum to
@@ -189,6 +226,8 @@ class TestApplyUfSector:
         with pytest.raises(CutoffError, match="lost 1.000e\\+00"):
             apply_uf_sector(coherent_state(0.0, 674), 510, p, math.pi)
 
+
+# ----------------------------------------------------- leading-order states
 
 class TestEvolveCatLeading:
     def test_initial_time_recovers_cat(self):
@@ -225,11 +264,12 @@ class TestEvolveCatLeading:
         alpha, phi = 2.0, 1.0
         _, nrm = cat_state(alpha, phi, 60)
         for t in [0.4, 1.7, 3.0]:
-            fr = frame(p, alpha, phi, t)
-            c1 = fr.beta_prime + alpha * cmath.exp(1j * (phi - t))
-            c2 = fr.beta_prime + alpha * cmath.exp(1j * (-phi - t))
-            raw = (cmath.exp(1j * fr.phi1) * coherent_state(c1, 90).amplitudes
-                   + cmath.exp(1j * fr.phi2) * coherent_state(c2, 90).amplitudes)
+            _, beta = sector_frame(6, p, t)
+            phi1, phi2 = branch_phases(beta, alpha, phi)
+            c1 = beta * cmath.exp(-1j * t) + alpha * cmath.exp(1j * (phi - t))
+            c2 = beta * cmath.exp(-1j * t) + alpha * cmath.exp(1j * (-phi - t))
+            raw = (cmath.exp(1j * phi1) * coherent_state(c1, 90).amplitudes
+                   + cmath.exp(1j * phi2) * coherent_state(c2, 90).amplitudes)
             assert np.linalg.norm(raw) * nrm == pytest.approx(1.0, abs=1e-9)
 
     def test_cutoff_recommendation_keeps_tail_small(self):
@@ -246,10 +286,10 @@ class TestEvolveFockLeading:
         p = params_for(4, 0.3)
         t = 1.1
         out = evolve_fock_leading(p, 0, t, 50)
-        fr = frame(p, 0.0, 0.0, t)
-        expect = coherent_state(fr.beta_prime, 50)
+        xi, beta = sector_frame(4, p, t)
+        expect = coherent_state(beta * cmath.exp(-1j * t), 50)
         ov = overlap(expect, out)
-        assert ov == pytest.approx(cmath.exp(1j * fr.xi), abs=1e-10)
+        assert ov == pytest.approx(cmath.exp(1j * xi), abs=1e-10)
 
     def test_free_field_keeps_fock_weights(self):
         p = params_for(4, 0.0)

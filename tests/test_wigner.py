@@ -1,9 +1,11 @@
 """Phase-space module: Wigner numerics, interference closed form,
 time averaging, visibility, serialization."""
 
+import cmath
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from thermolim.fock import (
     choose_cutoff,
     coherent_state,
 )
-from thermolim.propagator import frame
+from thermolim.propagator import sector_frame
 from thermolim.wigner import (
     MAX_SPACING,
     WignerGrid,
@@ -44,6 +46,12 @@ from thermolim.wigner import (
 
 def params_for(n_atoms, g, delta=0.0):
     return ModelParams(delta=delta, g=g, n_atoms=n_atoms)
+
+
+def beta_prime(p, t):
+    """beta' = beta_N(t) e^{-it}, the extremal sector's displacement in
+    the frame that rotates with the mode, from :func:`sector_frame`."""
+    return sector_frame(p.n_atoms, p, t)[1] * cmath.exp(-1j * t)
 
 
 def bruteforce_wigner(amps, x, p, pad):
@@ -182,7 +190,7 @@ class TestWignerNumeric:
         # the wigner study's t = 0 grid at N = 12, alpha = 2, phi = pi/2,
         # spacing 0.05: 375 x 375 points, support dmax = 38 of ncut = 132
         p, alpha, phi = params_for(12, 0.25), 2.0, math.pi / 2
-        centers = [frame(p, alpha, phi, t).beta_prime + alpha * np.exp(1j * (s * phi - t))
+        centers = [beta_prime(p, t) + alpha * np.exp(1j * (s * phi - t))
                    for t in np.linspace(0.0, 2 * math.pi, 65) for s in (1, -1)]
         grid = default_grid(centers, spacing=0.05)
         assert (grid.nx, grid.np) == (375, 375)
@@ -257,8 +265,8 @@ class TestWIntClosed:
         grid = default_grid([2.0])
         w = w_int_closed(p, 2.0, 0.0, 0.7, grid)
         assert np.all(w.values >= -1e-15)
-        fr = frame(p, 2.0, 0.0, 0.7)
-        mid = fr.beta_prime + 2.0 * np.exp(-1j * 0.7)
+        bp = beta_prime(p, 0.7)
+        mid = bp + 2.0 * np.exp(-1j * 0.7)
         np.testing.assert_allclose(w.values, 2 * gaussian_on(grid, mid), atol=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -267,12 +275,12 @@ class TestWIntClosed:
     def test_separable_form_matches_meshgrid(self, n_atoms, g, alpha, phi, t):
         # nx != np, so a transposed factor product cannot pass
         p = params_for(n_atoms, g)
-        fr = frame(p, alpha, phi, t)
-        mid = fr.beta_prime + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
+        bp = beta_prime(p, t)
+        mid = bp + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
         xb, pb = math.sqrt(2) * mid.real, math.sqrt(2) * mid.imag
         grid = WignerGrid.empty(xb - 5.0, xb + 5.0, pb - 3.5, pb + 4.0, 0.1)
         assert grid.nx != grid.np
-        want = w_int_meshgrid(grid, fr.beta_prime, alpha, phi, t,
+        want = w_int_meshgrid(grid, bp, alpha, phi, t,
                               interference_phase_offset(p, alpha, phi, t))
         got = w_int_closed(p, alpha, phi, t, grid).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -286,7 +294,7 @@ class TestWIntClosed:
         p = params_for(n_atoms, g)
         ts = t0 + (np.arange(n) + 0.5) * (span / n)
         # the grid holds every midpoint visited, so each sample is O(1) on it
-        grid = default_grid([frame(p, alpha, phi, t).beta_prime
+        grid = default_grid([beta_prime(p, t)
                              + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
                              for t in ts], spacing=0.25)
         want = np.mean([w_int_closed(p, alpha, phi, t, grid).values for t in ts], axis=0)
@@ -328,9 +336,9 @@ class TestWIntClosed:
         p = params_for(4, 0.25)
         alpha, phi, t = 2.0, math.pi / 2, 1.3
         ncut = choose_cutoff(p, alpha, 0)
-        fr = frame(p, alpha, phi, t)
-        c1 = fr.beta_prime + alpha * np.exp(1j * (phi - t))
-        c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - t))
+        bp = beta_prime(p, t)
+        c1 = bp + alpha * np.exp(1j * (phi - t))
+        c2 = bp + alpha * np.exp(1j * (-phi - t))
         grid = default_grid([c1, c2, (c1 + c2) / 2])
         full = wigner_numeric(evolve_cat_leading(p, alpha, phi, t, ncut), grid)
         b1 = wigner_numeric(coherent_state(c1, ncut), grid)
@@ -376,9 +384,9 @@ class TestWIntClosed:
         p = params_for(4, 0.25)
         alpha, phi = 2.0, math.pi / 2
         for t in [0.6, math.pi / 2, 2.8]:
-            fr = frame(p, alpha, phi, t)
-            c1 = fr.beta_prime + alpha * np.exp(1j * (phi - t))
-            c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - t))
+            bp = beta_prime(p, t)
+            c1 = bp + alpha * np.exp(1j * (phi - t))
+            c2 = bp + alpha * np.exp(1j * (-phi - t))
             grid = default_grid([c1, c2, (c1 + c2) / 2], spacing=0.15)
             w = w_int_closed(p, alpha, phi, t, grid)
             fitted = fit_interference_offset(w, p, alpha, phi, t)
@@ -396,9 +404,9 @@ class TestWIntClosed:
             p = params_for(n, 0.25)
             vals = []
             for tt in (t - h, t + h):
-                fr = frame(p, alpha, phi, tt)
-                c1 = fr.beta_prime + alpha * np.exp(1j * (phi - tt))
-                c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - tt))
+                bp = beta_prime(p, tt)
+                c1 = bp + alpha * np.exp(1j * (phi - tt))
+                c2 = bp + alpha * np.exp(1j * (-phi - tt))
                 grid = default_grid([c1, c2, (c1 + c2) / 2], spacing=0.15)
                 w = w_int_closed(p, alpha, phi, tt, grid)
                 vals.append(fit_interference_offset(w, p, alpha, phi, tt))
@@ -530,9 +538,9 @@ class TestFringeVisibility:
                                     math.sqrt(2) * reach + 4.3, 0.15)
 
             def branch_values(t, p=p, grid=grid):
-                fr = frame(p, alpha, phi, t)
-                c1 = fr.beta_prime + alpha * np.exp(1j * (phi - t))
-                c2 = fr.beta_prime + alpha * np.exp(1j * (-phi - t))
+                bp = beta_prime(p, t)
+                c1 = bp + alpha * np.exp(1j * (phi - t))
+                c2 = bp + alpha * np.exp(1j * (-phi - t))
                 return n2 * (gaussian_on(grid, c1) + gaussian_on(grid, c2))
 
             def branch_mean(ts):
@@ -675,6 +683,33 @@ class TestSerialization:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValidationError, match="w.csv: unreadable"):
             load_csv(path)
+
+    @staticmethod
+    def _csv_rejection(path):
+        """The message of ``load_csv(path)``'s ValidationError, which must
+        name the path and come without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                load_csv(path)
+        assert str(path) in str(info.value)
+        return str(info.value)
+
+    def test_csv_non_finite_cell_names_path(self, tmp_path):
+        path, lines = self._csv_lines(tmp_path)
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert "grid values must be finite" in self._csv_rejection(path)
+
+    def test_csv_coarse_grid_names_path(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("x,p,W\n0,0,0\n0,1,0\n1,0,0\n1,1,0\n", encoding="utf-8")
+        assert "exceeds 0.25" in self._csv_rejection(path)
+
+    def test_csv_header_only_names_path(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("x,p,W\n", encoding="utf-8")
+        assert "no x,p,W rows" in self._csv_rejection(path)
 
     def test_csv_roundtrip_and_format(self, tmp_path):
         grid = default_grid([0.5j], spacing=0.25)
