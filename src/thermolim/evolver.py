@@ -22,15 +22,18 @@ Every exponential e^{-iHt} in the package goes through
 :func:`expm_checked`, a Chebyshev propagator (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967, 1984) over an evenly spaced grid t_k = k t / n:
 the spectrum of H is bounded by Gershgorin discs, H is mapped onto
-[-1, 1] once, and each interval is one three-term recurrence whose
-Bessel coefficients all intervals share.  The Bessel tail past the last
-term bounds the relative norm each interval drops; k times it is the
-error estimate at t_k.  It must stay below 1e-8, checked before any
-product, and the norm must hold to 1e-9 at every point, or the run
-fails loudly.  :func:`evolve_grid` builds H from the state and yields a
-whole trajectory from one such call; :func:`evolve_exact` is its
-one-interval case.  The Dyson terms (:mod:`dyson`) need no exponential:
-they are closed Fourier sums in the interaction frame.
+[-1, 1] once, and each segment of a few consecutive intervals is one
+three-term recurrence from the segment's first state, which every point
+of the segment sums to its own Bessel window; the segments share the
+Bessel tables.  The Bessel tail past a point's window bounds the
+relative norm its series drops; added to the estimate at the segment's
+start it is the error estimate at that point.  It must stay below 1e-8,
+checked before any product, and the norm must hold to 1e-9 at every
+point, or the run fails loudly.  :func:`evolve_grid` builds H from the
+state and yields a whole trajectory from one such call;
+:func:`evolve_exact` is its one-interval case.  The Dyson terms
+(:mod:`dyson`) need no exponential: they are closed Fourier sums in the
+interaction frame.
 
 This module referees every closed-form and perturbative claim made by
 the rest of the package.
@@ -38,6 +41,8 @@ the rest of the package.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +73,15 @@ __all__ = [
 
 _ESTIMATE_TOL = 1e-8
 _NORM_TOL = 1e-9
+# the engine's run of Chebyshev terms and its Bessel coefficient table each
+# stay within this many bytes
+_BUFFER_BYTES = 1 << 22
+# A segment takes as many grid intervals as its argument span * r dt needs
+# to reach this.  Every series pays the Bessel window's margin 30 + 10 x^(1/3)
+# terms past its x; at x = 200 that margin (about 88 terms) is under half of
+# the series, while each further point of a segment costs one more Bessel
+# table of Python-level Miller steps per call.
+_SEGMENT_ARG = 200.0
 
 
 @dataclass(frozen=True)
@@ -232,23 +246,32 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
     Chebyshev series (Tal-Ezer & Kosloff 1984; Kosloff, Annu. Rev. Phys.
     Chem. 45, 145, 1994)
 
-        e^{-iH dt} u = e^{-ic dt} sum_{n<=K} (2 - delta_n0) (-i)^n J_n(r dt) T_n(H~) u
+        e^{-iH s} u = e^{-ic s} sum_{n<=K} (2 - delta_n0) (-i)^n J_n(r s) T_n(H~) u
 
-    over each interval dt = t / steps, with H~ = (H - c) / r.  The
-    Gershgorin discs of the rows of H bound its spectrum by [c - r, c + r],
-    so no T_n(H~) u grows past |u|.  K is :func:`fock._bessel_window` of
-    x = r dt; the intervals share the coefficients (one Bessel table) and
-    each costs K products with H~, every one a few array operations on
-    diagonal slices into buffers allocated once, while runs of the terms
-    join the sum one matrix-vector product at a time.
+    with H~ = (H - c) / r.  The Gershgorin discs of the rows of H bound its
+    spectrum by [c - r, c + r], so no T_n(H~) u grows past |u|.
 
-    The terms an interval drops are at most 2 sum_{n>K} |J_n(x)| of |u|;
-    past n = x the ratio |J_{n+1} / J_n| falls, so the geometric series on
-    the first ratio bounds them by tail = 2 |J_{K+1}| / (1 - |J_{K+2} / J_{K+1}|),
-    zero where J_{K+1} underflows.  The error estimate at t_k is k tail,
-    at no product's cost; above 1e-8 it raises :class:`IntegrationError`
-    before any product is taken.  Returns the states, shape
-    (steps + 1, v.size), and the estimates, shape (steps + 1,).
+    The grid is cut into segments of ``span`` intervals dt = t / steps, the
+    fewest whose argument span * r dt reaches 200 (at most ``steps``, and
+    fewer where the coefficient table would pass 4 MB); the last segment
+    holds what is left.  A segment runs one recurrence T_n(H~) u from its
+    first state u, and its point j (j = 1..span) sums it to its own window
+    K_j, :func:`fock._bessel_window` of x_j = j r dt, with s = j dt above.
+    The ``span`` Bessel tables serve every segment.  Each term costs one
+    product with H~, a few array operations on diagonal slices into
+    buffers allocated once, while runs of the terms join the sums of the
+    points whose windows reach them in one matrix product.  A grid with
+    r dt >= 200, and a single interval, take one series per interval.
+
+    The terms point j drops are at most 2 sum_{n>K_j} |J_n(x_j)| of |u|;
+    past n = x_j the ratio |J_{n+1} / J_n| falls, so the geometric series on
+    the first ratio bounds them by
+    tail_j = 2 |J_{K_j+1}| / (1 - |J_{K_j+2} / J_{K_j+1}|), zero where
+    J_{K_j+1} underflows.  The error estimate at a point is the estimate at
+    its segment's first state plus its tail_j, at no product's cost; above
+    1e-8 anywhere it raises :class:`IntegrationError` before any product is
+    taken.  Returns the states, shape (steps + 1, v.size), and the
+    estimates, shape (steps + 1,).
 
     Every row must keep the norm of ``v``; a drift beyond 1e-9 at any grid
     point raises :class:`IntegrationError`.
@@ -264,47 +287,63 @@ def expm_checked(t: float, h: Hamiltonian, v: np.ndarray,
                            for values, offset in h.bands if values.any()), h.block)
     dt = t / steps
     x = r * dt
-    last = _bessel_window(x)
-    bessel = _bessel_table(x, last + 2)
-    first, second = abs(bessel[-2]), abs(bessel[-1])
-    tail = 2 * first / (1 - second / first) if first > 0 else 0.0
-    err = tail * np.arange(steps + 1)
-    if not err[-1] <= _ESTIMATE_TOL:
+    span = steps if x * steps <= _SEGMENT_ARG else math.ceil(_SEGMENT_ARG / x)
+    # fewer where span rows of K_span + 1 coefficients would pass the budget
+    span = max(1, min(span, _BUFFER_BYTES // (16 * (_bessel_window(span * x) + 1))))
+    lasts = [_bessel_window(j * x) for j in range(1, span + 1)]
+    # row j - 1: point j's coefficients, zero past its window
+    coef = np.zeros((span, lasts[-1] + 1), dtype=np.complex128)
+    quarter = np.array([1, -1j, -1, 1j])[np.arange(lasts[-1] + 1) % 4]  # (-i)^n
+    tail = np.empty(span)
+    for j, last in enumerate(lasts, 1):
+        bessel = _bessel_table(j * x, last + 2)
+        first, second = abs(bessel[-2]), abs(bessel[-1])
+        tail[j - 1] = 2 * first / (1 - second / first) if first > 0 else 0.0
+        row = coef[j - 1, :last + 1]
+        row[:] = np.exp(-1j * c * (j * dt)) * quarter[:last + 1] * bessel[:-2]
+        row[1:] *= 2
+    # grid point k is point (k - 1) % span + 1 of a segment that starts
+    # after (k - 1) // span whole ones
+    ks = np.arange(steps)
+    err = np.concatenate([[0.0], ks // span * tail[-1] + tail[ks % span]])
+    worst = float(err.max())
+    if not worst <= _ESTIMATE_TOL:
         raise IntegrationError(
-            f"truncation estimate {err[-1]:.3e} exceeds 1e-8",
-            diagnostics={"error_estimate": float(err[-1])})
-    n = np.arange(last + 1)
-    coef = np.exp(-1j * c * dt) * np.array([1, -1j, -1, 1j])[n % 4] * bessel[:-2]
-    coef[1:] *= 2
+            f"truncation estimate {worst:.3e} exceeds 1e-8",
+            diagnostics={"error_estimate": worst})
 
     scratch = np.empty(v.size, dtype=np.complex128)
     out = np.empty((steps + 1, v.size), dtype=np.complex128)
     out[0] = v
     # T_n(H~) u for a run of consecutive n, as long as fits in 4 MB, joins
-    # the sum in one matrix-vector product with their coefficients
-    run = max(3, min(32, (1 << 22) // (16 * v.size)))
+    # the sums in one matrix product with the coefficients of the points
+    # whose windows reach it
+    run = max(3, min(32, _BUFFER_BYTES // (16 * v.size)))
     terms = np.empty((run, v.size), dtype=np.complex128)
-    for j in range(steps):
-        acc = out[j + 1]
+    for base in range(0, steps, span):
+        size = min(span, steps - base)
+        acc, last = out[base + 1:base + size + 1], lasts[size - 1]
         acc[:] = 0
-        terms[0] = out[j]
+        terms[0] = out[base]
         h2.apply(terms[0], terms[1], scratch)
         terms[1] *= 0.5
         first = 0  # the order held in terms[0]
         for i in range(2, last + 1):
             k = i - first
             if k == run:  # sum all but the two the recurrence still reads
-                acc += coef[first:first + run - 2] @ terms[:-2]
+                reach = bisect_left(lasts, first, 0, size)
+                acc[reach:] += coef[reach:size, first:first + run - 2] @ terms[:-2]
                 terms[:2] = terms[-2:]
                 first, k = i - 2, 2
             h2.apply(terms[k - 1], terms[k], scratch)
             terms[k] -= terms[k - 2]
-        acc += coef[first:] @ terms[:last + 1 - first]
+        reach = bisect_left(lasts, first, 0, size)
+        acc[reach:] += coef[reach:size, first:last + 1] @ terms[:last + 1 - first]
     norm0 = np.linalg.norm(v)
     drift = float(max(abs(np.linalg.norm(row) - norm0) for row in out))
     if not drift <= _NORM_TOL:
         raise IntegrationError(f"norm drift {drift:.3e} exceeds 1e-9",
-                               diagnostics={"error_estimate": float(err[-1]),
+                               diagnostics={"error_estimate": worst,
                                             "drift": drift})
     return out, err
 

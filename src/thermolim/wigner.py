@@ -475,7 +475,10 @@ def load_wgrd(path) -> WignerGrid:
         data = np.frombuffer(fh.read(size), dtype="<f8")
         if fh.read(1):
             raise ValidationError(f"{path}: bytes after the WGRD payload")
-    return WignerGrid(*bounds, nx, npts, data.reshape(nx, npts))
+    try:
+        return WignerGrid(*bounds, nx, npts, data.reshape(nx, npts))
+    except ValidationError as exc:  # values or axes the grid itself refuses
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_csv(grid: WignerGrid, path) -> None:

@@ -2,7 +2,9 @@
 stepping, sector projections, and the referee comparisons against
 closed forms."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,10 +36,37 @@ from thermolim.evolver import (
     fidelity,
     project_chi,
 )
-from thermolim.fock import FieldState, ModelParams, cat_state, choose_cutoff, coherent_state
+from thermolim.fock import (
+    FieldState,
+    ModelParams,
+    _bessel_window,
+    cat_state,
+    choose_cutoff,
+    coherent_state,
+)
 from thermolim.harness import ScenarioConfig, run_scenario
 from thermolim.propagator import evolve_cat_leading
 from thermolim.spins import CollectiveState, chi_prime_state, chi_state
+
+
+# two study grids the engine serves, and on each the intervals in a segment
+# of one Chebyshev series and the products with H the whole grid takes
+STUDY_GRIDS = [{"study": "cat", "n_atoms": 16},
+               {"study": "convergence", "n_atoms": 8, "delta": 0.02}]
+SEGMENTS = {"cat": (4, 1324), "convergence": (8, 596)}
+
+
+@contextlib.contextmanager
+def recorded_tables():
+    """Record (x, last) of each Bessel table the engine builds."""
+    tables, table = [], evolver._bessel_table
+
+    def recording_table(x, last):
+        tables.append((x, last))
+        return table(x, last)
+
+    with mock.patch.object(evolver, "_bessel_table", recording_table):
+        yield tables
 
 
 def params_for(n_atoms, g, delta=0.0):
@@ -291,10 +320,9 @@ class TestEvolveExact:
     @pytest.mark.parametrize("n_atoms, delta, steps", [(16, 0.0, 16), (2, 0.3, 200)])
     def test_grid_matches_step_by_step_chain(self, n_atoms, delta, steps):
         # One grid call against a chain of single checked steps, in both of
-        # scipy's grid regimes (Al-Mohy & Higham 2011, Alg. 5.2): the cat at
-        # N = 16 has fewer intervals than Taylor sub-steps and is stepped
-        # interval by interval on its occupied sector; N = 2 at Delta = 0.3
-        # has more, and reads several points off one Taylor expansion.
+        # the engine's grid regimes: the cat at N = 16 (r dt = 59.7) runs
+        # four segments of four intervals on its occupied sector; N = 2 at
+        # Delta = 0.3 (r dt = 0.81) reads all 200 points off one series.
         p = params_for(n_atoms, 0.25, delta=delta)
         ncut = choose_cutoff(p, 2.0, 0)
         state = cat_chi_initial(p, 2.0, math.pi / 2, ncut)
@@ -341,45 +369,96 @@ class TestEvolveExact:
     # r t = 999 in one interval, about the cat study's N = 16 grid
     # (r = 152, t = 2 pi) taken as one step
     @example(n_atoms=4, delta=0.5, g=0.5, ncut=40, steps=1, t=28.7, seed=0)
+    # r dt = 66.0 and 71.1: a segment of four intervals and a remainder of
+    # three, four segments of three and a remainder of one
+    @example(n_atoms=2, delta=0.3, g=0.25, ncut=40, steps=7, t=20.0, seed=0)
+    @example(n_atoms=2, delta=0.3, g=0.25, ncut=40, steps=13, t=40.0, seed=0)
+    # r dt = 3.85: three segments of 52 intervals and a remainder of 44
+    @example(n_atoms=1, delta=0.5, g=0.5, ncut=12, steps=200, t=100.0, seed=0)
+    # r dt = 333 >= 200: one series per interval, one table
+    @example(n_atoms=4, delta=0.5, g=0.5, ncut=40, steps=3, t=28.7, seed=0)
     def test_engine_matches_dense_expm(self, n_atoms, delta, g, ncut, steps, t, seed):
         h = build_hamiltonian(ModelParams(delta=delta, g=g, n_atoms=n_atoms), ncut).matrix
         rng = np.random.default_rng(seed)
         v = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
         v /= np.linalg.norm(v)
-        out, err = expm_checked(t, h, v, steps)
+        with recorded_tables() as tables:
+            out, err = expm_checked(t, h, v, steps)
+        lo, hi = h.bounds()
+        if (hi - lo) / 2 * t / steps >= 200:
+            assert len(tables) == 1
         assert out.shape == (steps + 1, v.size) and err.shape == (steps + 1,)
         for k, row in enumerate(out):
             want = scipy.linalg.expm(-1j * (k * t / steps) * h.toarray()) @ v
             assert np.linalg.norm(row - want) <= 1e-12
         assert err[0] == 0 and err.max() <= 1e-8
 
-    @pytest.mark.parametrize("config", [{"study": "cat", "n_atoms": 16},
-                                        {"study": "convergence", "n_atoms": 8,
-                                         "delta": 0.02}])
+    def test_fine_grid_segments_stay_within_table_budget(self):
+        # 10000 intervals of r dt = 2.5e-4 fit in one segment by their
+        # argument; the 4 MB coefficient table caps it at 5461, and a
+        # remainder segment of 4539 follows.  Points on both sides of the
+        # segment edge match dense expm
+        h = build_hamiltonian(params_for(1, 0.25, delta=0.3), 4).matrix
+        v = np.zeros(h.shape[0], dtype=complex)
+        v[0] = 1
+        with recorded_tables() as tables:
+            out, err = expm_checked(1.0, h, v, 10000)
+        span = len(tables)
+        assert 1 < span < 10000
+        assert 16 * span * (_bessel_window(tables[-1][0]) + 1) <= 1 << 22
+        for k in (1, span, span + 1, 10000):
+            want = scipy.linalg.expm(-1j * (k / 10000) * h.toarray()) @ v
+            assert np.linalg.norm(out[k] - want) <= 1e-12
+        assert err.max() <= 1e-8
+
+    @pytest.mark.parametrize("config", STUDY_GRIDS)
     def test_estimate_measures_truncation_on_study_grids(self, monkeypatch, tmp_path,
                                                          config):
-        # the Bessel tail bound is tiny but not zero: 3.2e-30 at the end
-        # of the cat grid, 2.3e-35 at the end of convergence's; per
-        # interval it is scipy's to 1e-6
-        seen, tables = [], []
-        engine, table = evolver.expm_checked, evolver._bessel_table
+        # the Bessel tail bound is tiny but not zero: 2.0e-31 to 1.4e-24
+        # over the cat grid, 1.5e-36 to 1.7e-25 over convergence's.  A
+        # segment of `span` intervals sums point j to the window of
+        # x = j r dt, one table each; the estimate at a point is the one at
+        # its segment's start plus scipy's bound past that window
+        seen, engine = [], evolver.expm_checked
 
-        def recording(*args, **kwargs):
-            out, err = engine(*args, **kwargs)
-            seen.append(err)
+        def recording(t, h, v, steps=1):
+            out, err = engine(t, h, v, steps)
+            lo, hi = h.bounds()
+            seen.append(((hi - lo) / 2 * t / steps, err))
             return out, err
 
-        def recording_table(x, last):
-            tables.append((x, last))
-            return table(x, last)
-
         monkeypatch.setattr(evolver, "expm_checked", recording)
-        monkeypatch.setattr(evolver, "_bessel_table", recording_table)
-        run_scenario(ScenarioConfig.from_mapping(config, out_dir=str(tmp_path)))
-        [err], [(x, last)] = seen, tables
+        with recorded_tables() as tables:
+            run_scenario(ScenarioConfig.from_mapping(config, out_dir=str(tmp_path)))
+        [(x, err)], (span, _) = seen, SEGMENTS[config["study"]]
+        assert len(tables) == span
+        for j, (xj, last) in enumerate(tables, 1):
+            assert xj == pytest.approx(j * x, rel=1e-15)
+            assert last == _bessel_window(xj) + 2
         assert err.shape == (17,) and err[0] == 0
         assert np.all(np.diff(err) > 0) and err[-1] <= 1e-8
-        assert err[1] == pytest.approx(bessel_tail_bound(x, last - 2), rel=1e-6)
+        tail = [bessel_tail_bound(xj, last - 2) for xj, last in tables]
+        want = [0.0]
+        for k in range(1, 17):
+            start = (k - 1) // span * span
+            want.append(want[start] + tail[k - start - 1])
+        np.testing.assert_allclose(err, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("config", STUDY_GRIDS)
+    def test_products_on_study_grids(self, monkeypatch, tmp_path, config):
+        # one series per segment: 4 x 331 products on the cat grid
+        # (r dt = 59.7, segments of 4) and 2 x 298 on convergence's
+        # (r dt = 26.0, segments of 8), where one series per interval
+        # takes 16 x 129 = 2064 and 16 x 86 = 1376
+        count, apply = [0], evolver.Hamiltonian.apply
+
+        def counting(self, u, out, scratch):
+            count[0] += 1
+            apply(self, u, out, scratch)
+
+        monkeypatch.setattr(evolver.Hamiltonian, "apply", counting)
+        run_scenario(ScenarioConfig.from_mapping(config, out_dir=str(tmp_path)))
+        assert count[0] == SEGMENTS[config["study"]][1]
 
     def test_long_interval_matches_fine_grid(self):
         # r t = 2865 in one interval: the tail past the window is 3.6e-19,

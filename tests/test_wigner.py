@@ -650,6 +650,28 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="w.wgrd: bytes after"):
             load_wgrd(path)
 
+    def test_binary_non_finite_value_names_path(self, tmp_path):
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        path = tmp_path / "w.wgrd"
+        save_wgrd(grid, path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", math.nan))
+        with pytest.raises(ValidationError) as info:
+            load_wgrd(path)
+        assert str(path) in str(info.value)
+        assert "grid values must be finite" in str(info.value)
+
+    def test_binary_coarse_grid_names_path(self, tmp_path):
+        # the header rewritten to a 2 x 2 grid on the same bounds: spacing 2
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        path = tmp_path / "w.wgrd"
+        save_wgrd(grid, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<II", 2, 2) + raw[12:64] + b"\x00" * 32)
+        with pytest.raises(ValidationError) as info:
+            load_wgrd(path)
+        assert str(path) in str(info.value)
+        assert "exceeds 0.25" in str(info.value)
+
     def _csv_lines(self, tmp_path):
         grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
         w = grid.with_values(np.arange(grid.nx * grid.np, dtype=float)
