@@ -333,27 +333,59 @@ def w_int_closed(params: ModelParams, alpha: float, phi: float, t: float,
     return w_int_mean(params, alpha, phi, np.array([t]), grid)
 
 
-def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
-                            phi: float, t: float) -> float:
-    """Recover the constant fringe phase from an interference grid by
-    envelope-weighted least squares against the known linear part.
-    Returns the principal value in (-pi, pi]."""
-    fx, fp = _fringe_factors(params, alpha, phi, [t], grid)
-    fx, fp = fx[0], fp[0]
-    # vals = env (cos lin cos c - sin lin sin c) = Re[e^{ic} (2/pi) fx (x) fp]:
-    # 2x2 normal equations on the bases a1 = Re, a2 = -Im of (2/pi) fx (x) fp
+def _fit_offset(values: np.ndarray, fx: np.ndarray, fp: np.ndarray) -> float:
+    """The least-squares fringe phase c of ``values`` ~ Re[e^{ic} G] with
+    G = (2/pi) fx (x) fp, in (-pi, pi].
+
+    The bases are Re G and -Im G.  With gx = (2/pi) fx = a + i a' and
+    fp = b + i b', their 2x2 Gram matrix is a sum of products of 1-D sums,
+    e.g. sum (Re G)^2 = sum a^2 sum b^2 - 2 sum aa' sum bb' + sum a'^2
+    sum b'^2, and the right-hand side comes from one product values @
+    [b, b'].  Written in real and imaginary parts, real factors (no
+    fringes) give a determinant of exactly 0, which raises DomainError."""
     gx = (2.0 / math.pi) * fx
-    a1 = _re_outer(gx, fp).ravel()
-    a2 = _re_outer(1j * gx, fp).ravel()
-    b = np.asarray(grid.values).ravel()
-    g11, g12, g22 = a1 @ a1, a1 @ a2, a2 @ a2
-    r1, r2 = a1 @ b, a2 @ b
+    a, a2, b, b2 = gx.real, gx.imag, fp.real, fp.imag
+    xx, xy, yy = a @ a, a @ a2, a2 @ a2
+    pp, pq, qq = b @ b, b @ b2, b2 @ b2
+    g11 = xx * pp - 2.0 * xy * pq + yy * qq
+    g22 = xx * qq + 2.0 * xy * pq + yy * pp
+    g12 = (yy - xx) * pq - xy * (pp - qq)
+    m = values @ np.column_stack([b, b2])
+    r1 = a @ m[:, 0] - a2 @ m[:, 1]
+    r2 = -(a @ m[:, 1] + a2 @ m[:, 0])
     det = g11 * g22 - g12 * g12
     if det <= 0 or not np.isfinite(det):
         raise DomainError("fringe geometry is degenerate; cannot fit a phase")
     u = (g22 * r1 - g12 * r2) / det
     v = (g11 * r2 - g12 * r1) / det
     return math.atan2(v, u)
+
+
+def fit_interference_offset(grid: WignerGrid, params: ModelParams, alpha: float,
+                            phi: float, t: float) -> float:
+    """Recover the constant fringe phase from an interference grid by
+    envelope-weighted least squares against the known linear part.
+    Returns the principal value in (-pi, pi]."""
+    fx, fp = _fringe_factors(params, alpha, phi, [t], grid)
+    return _fit_offset(grid.values, fx[0], fp[0])
+
+
+def _fringe_rows(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
+                 grid: WignerGrid) -> list[tuple[float, float, float]]:
+    """(sup|W_int|, closed offset, fitted offset) of the closed interference
+    term at each time in ``ts``: the values of w_int_closed(...).sup_norm(),
+    interference_phase_offset and fit_interference_offset on that grid,
+    from one factor stack and one rank-2 product per time."""
+    ts = np.asarray(ts, dtype=np.float64).ravel()
+    fx, fp = _fringe_factors(params, alpha, phi, ts, grid)
+    offsets = [interference_phase_offset(params, alpha, phi, t) for t in ts.tolist()]
+    c = (2.0 / math.pi) * np.exp(1j * np.array(offsets))
+    rows = []
+    for ci, fxi, fpi, offset in zip(c, fx, fp, offsets):
+        w = _re_outer(ci * fxi, fpi)
+        rows.append((max(float(w.max()), -float(w.min())), offset,
+                     _fit_offset(w, fxi, fpi)))
+    return rows
 
 
 def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float) -> int:

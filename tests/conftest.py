@@ -6,7 +6,8 @@ displacement oracles are a truncated matrix exponential (float64, by one
 cached eigendecomposition per ladder, cross-checked against Pade) and a
 normal-ordered series in 50-digit arithmetic, the coherent state is its
 log-domain Poisson amplitude formula, the closed cat fringes are
-evaluated pointwise on a full meshgrid, the x,p,W text artifact is
+evaluated pointwise on a full meshgrid, their phase is fitted by least
+squares on full-grid bases, the x,p,W text artifact is
 written one f-string per cell, the second-order Dyson
 kernel is written out from the displacement oracle, both Dyson orders
 come from scipy's ``expm_multiply`` over a padded Van Loan block matrix,
@@ -124,6 +125,27 @@ def w_int_meshgrid(grid, beta_prime: complex, alpha: float, phi: float,
            * (P * math.sin(wt) - X * math.cos(wt))
            + offset)
     return env * np.cos(arg)
+
+
+def fit_offset_full_grid(values, fx, fp) -> float:
+    """Least-squares fringe phase c of ``values`` ~ Re[e^{ic} (2/pi) fx (x) fp]
+    from the 1-D factors, with the 2x2 Gram matrix and right-hand side
+    taken as dot products over the full grid; the referee for the fit's
+    1-D sums."""
+    # vals = env (cos lin cos c - sin lin sin c) = Re[e^{ic} (2/pi) fx (x) fp]:
+    # 2x2 normal equations on the bases a1 = Re, a2 = -Im of (2/pi) fx (x) fp
+    gx = (2.0 / math.pi) * fx
+    a1 = np.outer(gx, fp).real.ravel()
+    a2 = np.outer(1j * gx, fp).real.ravel()
+    b = np.asarray(values).ravel()
+    g11, g12, g22 = a1 @ a1, a1 @ a2, a2 @ a2
+    r1, r2 = a1 @ b, a2 @ b
+    det = g11 * g22 - g12 * g12
+    if det <= 0 or not np.isfinite(det):
+        raise ValueError("fringe geometry is degenerate; cannot fit a phase")
+    u = (g22 * r1 - g12 * r2) / det
+    v = (g11 * r2 - g12 * r1) / det
+    return math.atan2(v, u)
 
 
 def save_csv_cellwise(grid, path) -> None:

@@ -19,7 +19,8 @@ from conftest import short_bessel_window
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermolim import evolver, harness
+import thermolim
+from thermolim import evolver, fock, harness, wigner
 from thermolim.cli import main as cli_main
 from thermolim.errors import CapacityError, ValidationError
 from thermolim.harness import (
@@ -31,7 +32,7 @@ from thermolim.harness import (
     run_scenario,
     run_sweep,
 )
-from thermolim.wigner import load_csv, load_wgrd
+from thermolim.wigner import fringe_visibility, load_csv, load_wgrd, wigner_numeric
 
 
 def make_config(**kw):
@@ -345,6 +346,37 @@ class TestWignerStudy:
             assert abs(np.exp(1j * fit) - np.exp(1j * closed)) < 1e-6
         assert rec.summary["average_report"]["converged"]
         assert rec.summary["visibility_t0"] == pytest.approx(2.0, abs=0.1)
+
+
+    @pytest.mark.parametrize("n_atoms, g, alpha, phi", [
+        (12, 0.25, 2.0, math.pi / 2), (4, 0.25, 1.0, 1.0),
+        (8, 0.5, 0.7, 0.3), (2, 0.1, 0.4, 2.0)])
+    def test_visibility_matches_numeric_cat(self, tmp_path, n_atoms, g, alpha, phi):
+        # the closed t = 0 visibility is the residual of the cat's numeric
+        # Wigner grid over its branches, on the study's own grid
+        rec = run_scenario(make_config(
+            study="wigner", n_atoms=n_atoms, g=g, alpha=alpha, phi=phi, n_steps=3,
+            emit_wigner_bin=True, out_dir=str(tmp_path)))
+        grid = load_wgrd(tmp_path / "wigner_avg.wgrd")
+        cat, norm = fock.cat_state(alpha, phi, rec.summary["ncut"])
+        X, P = grid.meshgrid()
+        branches = sum(np.exp(-(X - math.sqrt(2) * c.real) ** 2
+                              - (P - math.sqrt(2) * c.imag) ** 2) / math.pi
+                       for c in (alpha * np.exp(1j * phi), alpha * np.exp(-1j * phi)))
+        want = fringe_visibility(wigner_numeric(cat, grid),
+                                 grid.with_values(norm**2 * branches))
+        assert rec.summary["visibility_t0"] == pytest.approx(want, rel=1e-12)
+
+    def test_runs_without_a_fock_state(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the wigner study builds no Fock state")
+
+        for module in (thermolim, fock, wigner, harness):
+            monkeypatch.setattr(module, "cat_state", refuse, raising=False)
+            monkeypatch.setattr(module, "wigner_numeric", refuse, raising=False)
+        rec = run_scenario(make_config(study="wigner", n_atoms=4, g=0.25, alpha=2.0,
+                                       n_steps=2, out_dir=str(tmp_path)))
+        assert rec.summary["visibility_t0"] > 0
 
 
 class TestDysonStudy:
@@ -748,7 +780,8 @@ class TestBenchmarkPins:
             assert callable(func), target
 
     @pytest.mark.parametrize("workload, nnz", [("cat-exact", 8869),
-                                               ("convergence-cat", 3747)])
+                                               ("convergence-cat", 3747),
+                                               ("wigner-washout", 0)])
     def test_traced_child_runs(self, tmp_path, workload, nnz):
         # a traced run reads attributes of what the targets return, such as
         # build_hamiltonian(...).matrix.nnz, which no name check covers

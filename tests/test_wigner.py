@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import displacement_expm, save_csv_cellwise, w_int_meshgrid
+from conftest import displacement_expm, fit_offset_full_grid, save_csv_cellwise, w_int_meshgrid
 from thermolim import wigner
 from thermolim.errors import CutoffError, DomainError, QuadratureError, ValidationError
 from thermolim.fock import (
@@ -314,6 +314,25 @@ class TestWIntClosed:
         w = w_int_closed(p, 2.0, 0.0, t, grid)
         with pytest.raises(DomainError, match="degenerate"):
             fit_interference_offset(w, p, 2.0, 0.0, t)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_atoms=st.integers(1, 16), g=st.floats(0.1, 0.5), alpha=st.floats(0.5, 3.0),
+           phi=st.floats(0.05, math.pi - 0.05), t=st.floats(0.0, 2 * math.pi))
+    def test_fit_sums_match_full_grid_fit(self, n_atoms, g, alpha, phi, t):
+        # the Gram matrix from 1-D sums and the right-hand side from one
+        # product give the full-grid least squares, on the fringes alone and
+        # with a branch Gaussian the basis does not hold
+        p = params_for(n_atoms, g)
+        bp = beta_prime(p, t)
+        c1 = bp + alpha * np.exp(1j * (phi - t))
+        c2 = bp + alpha * np.exp(1j * (-phi - t))
+        grid = default_grid([c1, c2], spacing=0.25)
+        fx, fp = wigner._fringe_factors(p, alpha, phi, [t], grid)
+        w = w_int_closed(p, alpha, phi, t, grid)
+        for vals in (w.values, w.values + gaussian_on(grid, c1)):
+            got = fit_interference_offset(w.with_values(vals), p, alpha, phi, t)
+            want = fit_offset_full_grid(vals, fx[0], fp[0])
+            assert abs(math.remainder(got - want, 2 * math.pi)) < 1e-12
 
     def test_static_cat_cross_term(self):
         # subtracting the branch Gaussians from the full cat Wigner
