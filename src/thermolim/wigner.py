@@ -344,15 +344,15 @@ def _fit_offset(values: np.ndarray, fx: np.ndarray, fp: np.ndarray) -> float:
     [b, b'].  Written in real and imaginary parts, real factors (no
     fringes) give a determinant of exactly 0, which raises DomainError."""
     gx = (2.0 / math.pi) * fx
-    a, a2, b, b2 = gx.real, gx.imag, fp.real, fp.imag
-    xx, xy, yy = a @ a, a @ a2, a2 @ a2
-    pp, pq, qq = b @ b, b @ b2, b2 @ b2
+    a, ai, b, bi = gx.real, gx.imag, fp.real, fp.imag
+    xx, xy, yy = a @ a, a @ ai, ai @ ai
+    pp, pq, qq = b @ b, b @ bi, bi @ bi
     g11 = xx * pp - 2.0 * xy * pq + yy * qq
     g22 = xx * qq + 2.0 * xy * pq + yy * pp
     g12 = (yy - xx) * pq - xy * (pp - qq)
-    m = values @ np.column_stack([b, b2])
-    r1 = a @ m[:, 0] - a2 @ m[:, 1]
-    r2 = -(a @ m[:, 1] + a2 @ m[:, 0])
+    m = values @ np.column_stack([b, bi])
+    r1 = a @ m[:, 0] - ai @ m[:, 1]
+    r2 = -(a @ m[:, 1] + ai @ m[:, 0])
     det = g11 * g22 - g12 * g12
     if det <= 0 or not np.isfinite(det):
         raise DomainError("fringe geometry is degenerate; cannot fit a phase")
