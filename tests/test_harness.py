@@ -347,7 +347,6 @@ class TestWignerStudy:
         assert rec.summary["average_report"]["converged"]
         assert rec.summary["visibility_t0"] == pytest.approx(2.0, abs=0.1)
 
-
     @pytest.mark.parametrize("n_atoms, g, alpha, phi", [
         (12, 0.25, 2.0, math.pi / 2), (4, 0.25, 1.0, 1.0),
         (8, 0.5, 0.7, 0.3), (2, 0.1, 0.4, 2.0)])
