@@ -99,19 +99,52 @@ class FieldState:
 
     def tail_mass(self) -> float:
         """Probability above the safety band n > ncut - max(8, ncut/10)."""
-        margin = max(8.0, self.ncut / 10.0)
-        n = np.arange(self.ncut + 1)
-        return float(np.sum(np.abs(self.amplitudes[n > self.ncut - margin]) ** 2))
+        return float(_tail_masses(self.amplitudes))
 
     def require_tail(self, tol: float = TAIL_TOL) -> "FieldState":
         """Raise :class:`CutoffError` when the truncation band holds
         more than ``tol`` probability; return self otherwise."""
-        tm = self.tail_mass()
-        if tm > tol:
-            raise CutoffError(
-                f"tail mass {tm:.3e} exceeds {tol:.1e}; increase ncut={self.ncut}"
-            )
+        _require_tails(self.amplitudes, tol)
         return self
+
+
+def _band_start(ncut: int) -> int:
+    """First level of the truncation band n > ncut - max(8, ncut/10)."""
+    return max(0, math.floor(ncut - max(8.0, ncut / 10.0)) + 1)
+
+
+def _tail_masses(amps: np.ndarray) -> np.ndarray:
+    """Probability in the truncation band of each row of ``amps``."""
+    return np.sum(np.abs(amps[..., _band_start(amps.shape[-1] - 1):]) ** 2, axis=-1)
+
+
+def _require_tails(amps: np.ndarray, tol: float) -> None:
+    """Raise :class:`CutoffError`, naming the first offending row and its
+    tail mass, when any row of ``amps`` holds more than ``tol`` in its band."""
+    tails = np.atleast_1d(_tail_masses(amps))
+    over = np.flatnonzero(tails > tol)
+    if over.size:
+        where = f" at row {over[0]}" if amps.ndim > 1 else ""
+        raise CutoffError(f"tail mass {tails[over[0]]:.3e}{where} exceeds {tol:.1e}; "
+                          f"increase ncut={amps.shape[-1] - 1}")
+
+
+def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``raw`` scaled to unit norm, and their norms, each row
+    held to a constructed state's checks: :class:`CutoffError` for a zero
+    row or one with over ``TAIL_TOL`` in its tail band, and
+    :class:`DomainError`, as in a normalized :class:`FieldState`, for a
+    squared norm that misses 1 by over 1e-10."""
+    norms = np.linalg.norm(raw, axis=-1)
+    if not norms.all():
+        raise CutoffError(f"zero norm at row {np.argmin(norms)}; cutoff unusable")
+    rows = raw / norms[:, None]
+    off = np.abs(np.sum(np.abs(rows) ** 2, axis=-1) - 1.0)
+    if np.any(off > 1e-10):
+        raise DomainError(f"row {np.argmax(off)} marked normalized but its "
+                          f"sum |c_n|^2 misses 1 by {off.max()!r}")
+    _require_tails(rows, TAIL_TOL)
+    return rows, norms
 
 
 def overlap(a: FieldState, b: FieldState) -> complex:
@@ -227,6 +260,8 @@ def _scaled_diagonal(d, x, jmax: int) -> np.ndarray:
     out[0] = np.where(x > 0, np.exp(logm0), d == 0)  # x^(d/2) = [d = 0] at x = 0
     if jmax >= 1:
         out[1] = out[0] * (1.0 + d - x) / np.sqrt(1 + d)
+    if jmax < 2:
+        return out
     # scaled three-term recurrence; coefficients are O(1) and computed
     # for every step at once, so the loop below does array work only
     j = np.arange(1.0, jmax).reshape((-1,) + (1,) * d.ndim)
@@ -238,23 +273,32 @@ def _scaled_diagonal(d, x, jmax: int) -> np.ndarray:
     return out
 
 
-def _displacement_elements(n, k, alpha: complex) -> np.ndarray:
-    """<n|D[alpha]|k> for broadcastable photon-number arrays n and k.
+def _displacement_elements(n, k, alpha) -> np.ndarray:
+    """<n|D[a]|k> for broadcastable photon-number arrays n and k, at a
+    scalar ``alpha`` or at each a of a 1-d array, whose axis comes last.
 
     ``<n|D|k> = M_{|n-k|}[min(n, k)] e^{i(n-k) theta}`` with the sign
     (-1)^(k-n) above the diagonal (Cahill & Glauber 1969), read from one
-    bounded recurrence over the diagonals n - k reaches.  Exactly the
-    identity at alpha = 0, where the recurrence is not bit-exact.
+    bounded recurrence over the diagonals n - k reaches, with |a|^2
+    broadcast over the a; the sign and phase are tabled once per
+    diagonal.  Exactly the identity when every a is 0, where the
+    recurrence is not bit-exact.
     """
     n, k = np.broadcast_arrays(n, k)
-    if alpha == 0:
-        return (n == k).astype(np.complex128)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    if not alpha.any():
+        return np.broadcast_to((n == k)[(...,) + (None,) * alpha.ndim],
+                               n.shape + alpha.shape).astype(np.complex128)
     d = n - k
     lo = np.minimum(n, k)
     ad = np.abs(d)
-    mags = _scaled_diagonal(np.arange(ad.max() + 1), abs(alpha) ** 2, lo.max())[lo, ad]
-    mags = np.where((d < 0) & (d % 2 == 1), -mags, mags)
-    return mags * np.exp(1j * (np.angle(alpha) * d))
+    diags = np.arange(ad.max() + 1)[(...,) + (None,) * alpha.ndim]
+    mags = _scaled_diagonal(diags, np.abs(alpha) ** 2, lo.max())[lo, ad]
+    first = d.min()
+    reached = np.arange(first, d.max() + 1)
+    factor = np.exp(1j * np.multiply.outer(reached, np.angle(alpha)))
+    factor[(reached < 0) & (reached % 2 == 1)] *= -1
+    return mags * factor[d - first]
 
 
 def displacement_matrix(ncut: int, alpha: complex) -> np.ndarray:
@@ -278,33 +322,33 @@ def coherent_state(alpha: complex, ncut: int) -> FieldState:
 
 
 def displaced_number_state(k: int, alpha: complex, ncut: int) -> FieldState:
-    """Displaced number state |k, alpha> = D[alpha]|k>.
+    """Displaced number state |k, alpha> = D[alpha]|k>: the one-row case
+    of :func:`_displaced_rows`, renormalized and certified like every
+    constructed state."""
+    return FieldState(_displaced_rows(k, [alpha], ncut)[0])
 
-    Amplitudes are column k of the displacement matrix, computed alone
-    at cost O(k ncut).  ``k`` must fit under the cutoff; tail mass is
-    certified like every constructed state.
-    """
+
+def _displaced_rows(k: int, alphas, ncut: int) -> np.ndarray:
+    """Rows D[a]|k> on levels 0..ncut, one per a in ``alphas``: column k
+    of the displacement matrix at each a, O(k ncut) a row from one
+    recurrence, renormalized and checked by :func:`_unit_rows`."""
     if k < 0 or k != int(k):
         raise DomainError(f"need integer k >= 0, got {k}")
     k = int(k)
     if k > ncut:
         raise DomainError(f"k={k} exceeds ncut={ncut}")
-    col = _displacement_elements(np.arange(ncut + 1), k, complex(alpha))
-    state = FieldState(col / np.linalg.norm(col))
-    state.require_tail()
-    return state
+    cols = _displacement_elements(np.arange(ncut + 1), k, alphas)
+    # contiguous rows sum alike in any stack, so a row is the one-row result
+    return _unit_rows(np.ascontiguousarray(cols.T))[0]
 
 
-def _superposition(terms) -> tuple[FieldState, float]:
-    """The normalized sum of the ``(weight, state)`` pairs in ``terms``,
-    tail-checked, plus the applied normalization factor."""
-    raw = sum(w * state.amplitudes for w, state in terms)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0:
-        raise CutoffError("branches cancelled to zero; cutoff unusable")
-    out = FieldState(raw / norm)
-    out.require_tail()
-    return out, 1.0 / norm
+def _superposition(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, the normalized sums of the ``(weights, rows)`` pairs in
+    ``terms`` (one weight per row), checked by :func:`_unit_rows`, plus
+    the applied normalization factors."""
+    raw = sum(np.asarray(w)[:, None] * rows for w, rows in terms)
+    out, norms = _unit_rows(raw)
+    return out, 1.0 / norms
 
 
 def cat_state(alpha: float, phi: float, ncut: int) -> tuple[FieldState, float]:
@@ -317,8 +361,9 @@ def cat_state(alpha: float, phi: float, ncut: int) -> tuple[FieldState, float]:
     """
     if alpha < 0:
         raise DomainError(f"need alpha >= 0, got {alpha}")
-    return _superposition([(1, coherent_state(alpha * np.exp(1j * phi), ncut)),
-                           (1, coherent_state(alpha * np.exp(-1j * phi), ncut))])
+    branches = _displaced_rows(0, alpha * np.exp(np.array([1j, -1j]) * phi), ncut)
+    out, factor = _superposition([([1], branches[:1]), ([1], branches[1:])])
+    return FieldState(out[0]), float(factor[0])
 
 
 def cat_norm_closed(alpha: float, phi: float) -> float:
@@ -369,6 +414,6 @@ def choose_cutoff(params: ModelParams, alpha: float, k: int) -> int:
         log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
         pmf = np.exp(j * math.log(mean) - mean - log_fact)
         above = np.cumsum(pmf[::-1])[::-1]
-        while above[math.floor(ncut - max(8.0, ncut / 10.0)) + 1] > TAIL_TOL:
+        while above[_band_start(ncut)] > TAIL_TOL:
             ncut += 1
     return ncut

@@ -37,7 +37,7 @@ from .evolver import (
     project_chi,
 )
 from .fock import CAPACITY_LIMIT, FieldState, ModelParams, choose_cutoff
-from .propagator import evolve_cat_leading, evolve_fock_leading, sector_frame
+from .propagator import evolve_cat_grid, evolve_fock_grid, sector_frame
 from .spins import (
     BRUTE_FORCE_LIMIT,
     ProductSpinSpec,
@@ -330,21 +330,16 @@ def _time_grid(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_max, config.n_steps + 1)
 
 
-def _leading_field(config: ScenarioConfig, kind: str, t: float,
-                   ncut: int) -> FieldState:
-    """Closed leading-order field at t of the cat, the model's
-    (|0> + |k>)/sqrt2 superposition, or vacuum."""
-    if kind == "cat":
-        return evolve_cat_leading(config.params, config.alpha, config.phi, t, ncut)
-    k = config.fock_k if kind == "fock" else 0
-    return evolve_fock_leading(config.params, k, t, ncut)
-
-
-def _initial_field(config: ScenarioConfig, kind: str) -> FieldState:
-    """The ``kind`` field at t = 0 on the Fock cutoff that it alone needs."""
-    ncut = choose_cutoff(config.params, config.alpha if kind == "cat" else 0.0,
+def _leading_fields(config: ScenarioConfig, kind: str, times) -> list[FieldState]:
+    """Closed leading-order fields at ``times`` of the cat, the model's
+    (|0> + |k>)/sqrt2 superposition, or vacuum, from one grid call, on
+    the Fock cutoff that the ``kind`` field alone needs."""
+    p = config.params
+    ncut = choose_cutoff(p, config.alpha if kind == "cat" else 0.0,
                          config.fock_k if kind == "fock" else 0)
-    return _leading_field(config, kind, 0.0, ncut)
+    if kind == "cat":
+        return evolve_cat_grid(p, config.alpha, config.phi, times, ncut)
+    return evolve_fock_grid(p, config.fock_k if kind == "fock" else 0, times, ncut)
 
 
 @dataclass
@@ -401,31 +396,31 @@ def _study_spin_classical(config: ScenarioConfig) -> _StudyResult:
     return _StudyResult(cols, rows, summary, [], [])
 
 
-def _exact_trajectory(config: ScenarioConfig, kind: str, field0: FieldState):
-    """Exact evolution of field0 (x) chi over the time grid, from one
-    checked grid call: yields ``(t, state, chi projection, closed
-    leading-order field)`` per point."""
+def _exact_trajectory(config: ScenarioConfig, leads: list[FieldState]):
+    """Exact evolution of leads[0] (x) chi over the time grid, from one
+    checked grid call, where ``leads`` are the closed leading-order fields
+    on that grid: yields ``(t, state, chi projection, closed field)`` per
+    point."""
     p = config.params
     chi = chi_state(p.n_atoms)
-    states = evolve_grid(JointState.from_product(field0, chi, p), config.t_max,
+    states = evolve_grid(JointState.from_product(leads[0], chi, p), config.t_max,
                          config.n_steps)
-    for t, state in zip(_time_grid(config), states):
-        yield (t, state, project_chi(state, chi),
-               _leading_field(config, kind, t, field0.ncut))
+    for t, state, lead in zip(_time_grid(config), states, leads):
+        yield t, state, project_chi(state, chi), lead
 
 
 def _leading_vs_exact(config: ScenarioConfig, kind: str) -> _StudyResult:
     """Shared cat/fock pipeline: exact joint evolution stepped along the
     grid against the closed leading-order field, fidelity per step."""
-    field0 = _initial_field(config, kind)
+    leads = _leading_fields(config, kind, _time_grid(config))
     rows = []
-    for t, state, proj, lead in _exact_trajectory(config, kind, field0):
+    for t, state, proj, lead in _exact_trajectory(config, leads):
         rows.append((t, fidelity(lead, proj),
                      float(np.linalg.norm(proj.amplitudes) ** 2),
                      abs(state.norm - 1.0)))
     fids = [r[1] for r in rows]
     summary = {
-        "ncut": field0.ncut,
+        "ncut": lead.ncut,
         "min_fidelity": min(fids),
         "final_fidelity": fids[-1],
         "max_norm_drift": max(r[3] for r in rows),
@@ -487,7 +482,7 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
 
 def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    initial = _initial_field(config, config.initial_state)
+    initial = _leading_fields(config, config.initial_state, [0.0])[0]
     flags = []
     rows = []
     firsts, second = corrections_on_grid(p, config.t_max, config.n_steps, initial)
@@ -515,9 +510,10 @@ def _study_dyson_scaling(config: ScenarioConfig) -> _StudyResult:
 
 def _study_convergence(config: ScenarioConfig) -> _StudyResult:
     p = config.params
-    field0 = _initial_field(config, "cat")
+    leads = _leading_fields(config, "cat", _time_grid(config))
+    field0 = leads[0]
     rows = []
-    for t, state, proj, lead in _exact_trajectory(config, "cat", field0):
+    for t, state, proj, lead in _exact_trajectory(config, leads):
         weight = float(np.linalg.norm(proj.amplitudes) ** 2)
         residual = float(np.linalg.norm(proj.amplitudes - lead.amplitudes))
         infid = 1.0 - fidelity(lead, proj) if weight > 0 else math.nan

@@ -31,17 +31,18 @@ from .fock import (
     FieldState,
     ModelParams,
     _displacement_elements,
+    _displaced_rows,
     _superposition,
     assoc_laguerre,
-    coherent_state,
-    displaced_number_state,
 )
 
 __all__ = [
     "sector_frame",
     "apply_uf_sector",
     "evolve_cat_leading",
+    "evolve_cat_grid",
     "evolve_fock_leading",
+    "evolve_fock_grid",
     "asymptotic_branch_ratio",
 ]
 
@@ -98,43 +99,64 @@ def apply_uf_sector(state: FieldState, m: int, params: ModelParams, t: float) ->
 def evolve_cat_leading(
     params: ModelParams, alpha: float, phi: float, t: float, ncut: int
 ) -> FieldState:
-    """Leading-order evolved cat: U_N(t) on the cat of radius ``alpha``
-    and opening angle ``phi`` is two coherent branches at
-    beta' + alpha e^{+-i phi - i t}, with beta' = beta_N e^{-i t} from
+    """Leading-order evolved cat at time t: the one-time case of
+    :func:`evolve_cat_grid`."""
+    return evolve_cat_grid(params, alpha, phi, [t], ncut)[0]
+
+
+def evolve_cat_grid(params: ModelParams, alpha: float, phi: float, times,
+                    ncut: int) -> list[FieldState]:
+    """Leading-order evolved cat at each of ``times``: U_N(t) on the cat
+    of radius ``alpha`` and opening angle ``phi`` is two coherent branches
+    at beta' + alpha e^{+-i phi - i t}, with beta' = beta_N e^{-i t} from
     :func:`sector_frame`, global phase xi_N and branch phases
     alpha Im(beta_N e^{-+i phi}) from composing the displacements,
-    D[b]D[c] = e^{i Im(b conj(c))} D[b+c]; renormalized after truncation.
+    D[b]D[c] = e^{i Im(b conj(c))} D[b+c].  Both branches at every time
+    are rows of one :func:`fock._displaced_rows` call, each tail-checked;
+    each time's sum is renormalized after truncation and tail-checked.
 
     The collective spin factor stays pinned to the extremal sector and
     is carried implicitly.
     """
-    xi, beta = sector_frame(params.n_atoms, params, t)
-    beta_prime = beta * cmath.exp(-1j * t)
-    c1 = beta_prime + alpha * cmath.exp(1j * phi - 1j * t)
-    c2 = beta_prime + alpha * cmath.exp(-1j * phi - 1j * t)
-    phase = cmath.exp(1j * xi)
-    phi1 = alpha * (beta * cmath.exp(-1j * phi)).imag
-    phi2 = alpha * (beta * cmath.exp(1j * phi)).imag
-    return _superposition([(phase * cmath.exp(1j * phi1), coherent_state(c1, ncut)),
-                           (phase * cmath.exp(1j * phi2), coherent_state(c2, ncut))])[0]
+    centers, weights = [[], []], [[], []]
+    for t in times:
+        xi, beta = sector_frame(params.n_atoms, params, t)
+        beta_prime = beta * cmath.exp(-1j * t)
+        phase = cmath.exp(1j * xi)
+        for branch, sign in enumerate((1, -1)):
+            centers[branch].append(beta_prime + alpha * cmath.exp(sign * 1j * phi - 1j * t))
+            shift = alpha * (beta * cmath.exp(-sign * 1j * phi)).imag
+            weights[branch].append(phase * cmath.exp(1j * shift))
+    rows = _displaced_rows(0, centers[0] + centers[1], ncut)
+    n = len(centers[0])
+    out, _ = _superposition([(weights[0], rows[:n]), (weights[1], rows[n:])])
+    return [FieldState(row) for row in out]
 
 
 def evolve_fock_leading(params: ModelParams, k: int, t: float, ncut: int) -> FieldState:
-    """Leading-order evolution of (|0> + |k>)/sqrt(2): a coherent
-    branch |beta'> plus a displaced number branch e^{-i k t}
-    |k, beta'>, with global phase xi; renormalized after truncation
-    (the branches are exactly orthogonal for k != 0).  At k = 0 it is
-    the vacuum's evolution, |beta'> alone."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"need integer k >= 0, got {k}")
-    xi, beta = sector_frame(params.n_atoms, params, t)
-    beta_prime = beta * cmath.exp(-1j * t)
-    phase = cmath.exp(1j * xi)
-    terms = [(phase, coherent_state(beta_prime, ncut))]
+    """Leading-order evolution of (|0> + |k>)/sqrt(2) at time t: the
+    one-time case of :func:`evolve_fock_grid`."""
+    return evolve_fock_grid(params, k, [t], ncut)[0]
+
+
+def evolve_fock_grid(params: ModelParams, k: int, times, ncut: int) -> list[FieldState]:
+    """Leading-order evolution of (|0> + |k>)/sqrt(2) at each of ``times``:
+    a coherent branch |beta'> plus a displaced number branch
+    e^{-i k t} |k, beta'>, with global phase xi; renormalized after
+    truncation (the branches are exactly orthogonal for k != 0).  At
+    k = 0 it is the vacuum's evolution, |beta'> alone.  Each branch's
+    rows come from one :func:`fock._displaced_rows` call, and every row
+    and every sum is checked."""
+    centers, phases = [], []
+    for t in times:
+        xi, beta = sector_frame(params.n_atoms, params, t)
+        centers.append(beta * cmath.exp(-1j * t))
+        phases.append(cmath.exp(1j * xi))
+    terms = [(phases, _displaced_rows(0, centers, ncut))]
     if k:
-        terms.append((phase * cmath.exp(-1j * k * t),
-                      displaced_number_state(k, beta_prime, ncut)))
-    return _superposition(terms)[0]
+        terms.append(([p * cmath.exp(-1j * k * t) for p, t in zip(phases, times)],
+                      _displaced_rows(k, centers, ncut)))
+    return [FieldState(row) for row in _superposition(terms)[0]]
 
 
 def asymptotic_branch_ratio(k: int, n: int, beta_prime: complex) -> complex:

@@ -420,9 +420,10 @@ def time_average(
     The evaluator takes the array of n midpoint times t0 + (i + 1/2)
     (t1 - t0)/n and returns the mean of the signal over them, as a grid,
     an array or a scalar (:func:`w_int_mean` is the one for the
-    interference term).  Its result is copied at once, so an evaluator
-    may hand back one buffer each time without aliasing the two means
-    being compared.
+    interference term).  An array or scalar result is copied at once, so
+    an evaluator may hand back one buffer each time without aliasing the
+    two means being compared; a grid owns a read-only copy of its values
+    already, and the last one evaluated is returned as it is.
 
     Starts from 64 midpoint samples and doubles the count until the
     pointwise change drops below 1e-4; after 4 doublings without
@@ -436,8 +437,9 @@ def time_average(
     def mean(n: int) -> tuple[np.ndarray, Any]:  # and the result, for its geometry
         h = (t1 - t0) / n  # midpoint sampling: exact for full periods of trig signals
         got = evaluator(t0 + (np.arange(n) + 0.5) * h)
-        return np.array(got.values if isinstance(got, WignerGrid) else got,
-                        dtype=np.float64), got
+        if isinstance(got, WignerGrid):
+            return got.values, got
+        return np.array(got, dtype=np.float64), got
 
     n, doublings = 64, 0
     current, got = mean(n)
@@ -451,7 +453,7 @@ def time_average(
     report = TimeAverageReport(n_samples=n, doublings=doublings,
                                max_change=max_change, converged=converged)
     if isinstance(got, WignerGrid):
-        return got.with_values(current), report
+        return got, report
     return current[()], report  # a 0-d mean comes back as a scalar
 
 

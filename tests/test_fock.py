@@ -343,6 +343,22 @@ def test_cat_norm_closed_form_cross_check():
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) <= 1e-10
 
 
+def test_displaced_rows_check_each_row():
+    # the middle row's coherent state of radius 6 fills the band n > 22 of
+    # 31 levels; its neighbours fit, and the error names the row
+    with pytest.raises(CutoffError, match="at row 1 "):
+        fock._displaced_rows(0, [0.1, 6.0, 0.2j], 30)
+    rows = fock._displaced_rows(0, [0.1, 0.2j], 30)
+    for a, row in zip([0.1, 0.2j], rows):
+        np.testing.assert_allclose(row, coherent_closed(a, 30), rtol=0, atol=1e-15)
+
+
+def test_superposition_refuses_a_cancelled_row():
+    rows = fock._displaced_rows(0, [0.5, 1.0j], 30)
+    with pytest.raises(CutoffError, match="zero norm at row 1"):
+        fock._superposition([([1, 1], rows), ([1, -1], rows)])
+
+
 # ----------------------------------------------------------------- bounds
 
 def test_choose_cutoff_floor():

@@ -307,6 +307,24 @@ class TestCatStudy:
                 == (tmp_path / "4" / "cat.csv").read_bytes())
 
 
+@pytest.mark.parametrize("study, fock_k, calls", [("cat", 0, 1), ("fock", 3, 2)])
+def test_leading_fields_from_one_grid_call(tmp_path, monkeypatch, study, fock_k, calls):
+    # every grid time's closed field comes from one grid call: the cat's two
+    # branches share one recurrence, the fock superposition takes one for
+    # |beta'> and one for |k, beta'>; one field at a time took 2 x 17 + 2 = 36
+    count, scaled = [0], fock._scaled_diagonal
+
+    def counting(*args):
+        count[0] += 1
+        return scaled(*args)
+
+    monkeypatch.setattr(fock, "_scaled_diagonal", counting)
+    rec = run_scenario(make_config(study=study, n_atoms=16, fock_k=fock_k,
+                                   out_dir=str(tmp_path)))
+    assert len(rec.rows) == 17
+    assert count[0] == calls
+
+
 class TestFockStudy:
     def test_superposition_exact_at_zero_detuning(self, tmp_path):
         rec = run_scenario(make_config(

@@ -2,9 +2,13 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from conftest import coherent_closed, displacement_series_mp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermolim.errors import CutoffError, DomainError
 from thermolim.fock import (
@@ -21,7 +25,9 @@ from thermolim.propagator import (
     _sector_map,
     apply_uf_sector,
     asymptotic_branch_ratio,
+    evolve_cat_grid,
     evolve_cat_leading,
+    evolve_fock_grid,
     evolve_fock_leading,
     sector_frame,
 )
@@ -315,6 +321,120 @@ class TestEvolveFockLeading:
     def test_negative_index_rejected(self):
         with pytest.raises(DomainError):
             evolve_fock_leading(params_for(2, 0.1), -1, 1.0, 20)
+
+
+# ------------------------------------------------- leading-order grid forms
+
+def oracle_frame(n_atoms, g, t):
+    """xi_N, beta_N and beta' = beta_N e^{-it} written out from the closed
+    forms, not read from sector_frame."""
+    r = n_atoms * g
+    beta = r * (1 - cmath.exp(1j * t))
+    return r * r * (t - math.sin(t)), beta, beta * cmath.exp(-1j * t)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def band_mass(amps):
+    """Probability above n = ncut - 8, the tail band for ncut <= 80."""
+    return float(np.sum(np.abs(amps[amps.size - 8:]) ** 2))
+
+
+# drawn grids start at t = 0; the examples add t = 2 pi (beta ~ 0), alpha = 0
+# (a t = 0 row at the origin among moved rows) and g = 0 (every row there)
+GRID_DRAWS = dict(n_atoms=st.integers(1, 16), g=st.floats(0.0, 0.5),
+                  t_max=st.floats(0.1, 7.0), n_steps=st.integers(1, 3))
+
+
+class TestLeadingGrids:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(**GRID_DRAWS, alpha=st.floats(0.0, 3.0), phi=st.floats(0.0, math.pi))
+    @example(n_atoms=4, g=0.25, t_max=2 * math.pi, n_steps=2, alpha=2.0, phi=1.2)
+    @example(n_atoms=16, g=0.5, t_max=2 * math.pi, n_steps=3, alpha=3.0, phi=0.4)
+    @example(n_atoms=3, g=0.3, t_max=1.0, n_steps=2, alpha=0.0, phi=0.7)
+    @example(n_atoms=5, g=0.0, t_max=3.0, n_steps=2, alpha=1.5, phi=math.pi / 2)
+    def test_cat_rows_match_closed_coherent_branches(self, n_atoms, g, t_max, n_steps,
+                                                     alpha, phi):
+        p = params_for(n_atoms, g)
+        ncut = choose_cutoff(p, alpha, 0)
+        times = np.linspace(0.0, t_max, n_steps + 1)
+        rows = evolve_cat_grid(p, alpha, phi, times, ncut)
+        assert len(rows) == times.size
+        for t, row in zip(times, rows):
+            xi, beta, bp = oracle_frame(n_atoms, g, t)
+            want = sum(cmath.exp(1j * (xi + alpha * (beta * cmath.exp(-s * 1j * phi)).imag))
+                       * coherent_closed(bp + alpha * cmath.exp(1j * (s * phi - t)), ncut)
+                       for s in (1, -1))
+            np.testing.assert_allclose(row.amplitudes, unit(want), rtol=0, atol=1e-12)
+            assert row.normalized and row.ncut == ncut
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(**GRID_DRAWS, k=st.sampled_from([0, 1, 3]))
+    @example(n_atoms=16, g=0.5, t_max=2 * math.pi, n_steps=2, k=3)
+    @example(n_atoms=2, g=0.4, t_max=2 * math.pi, n_steps=1, k=1)
+    @example(n_atoms=6, g=0.0, t_max=2.0, n_steps=2, k=3)
+    def test_fock_rows_match_series_oracle(self, n_atoms, g, t_max, n_steps, k):
+        p = params_for(n_atoms, g)
+        ncut = choose_cutoff(p, 0.0, k)
+        times = np.linspace(0.0, t_max, n_steps + 1)
+        rows = evolve_fock_grid(p, k, times, ncut)
+        assert len(rows) == times.size
+        for t, row in zip(times, rows):
+            xi, _, bp = oracle_frame(n_atoms, g, t)
+            want = coherent_closed(bp, ncut)
+            if k:
+                col = [complex(displacement_series_mp(n, k, bp, dps=30))
+                       for n in range(ncut + 1)]
+                want = want + cmath.exp(-1j * k * t) * unit(np.array(col))
+            np.testing.assert_allclose(row.amplitudes, cmath.exp(1j * xi) * unit(want),
+                                       rtol=0, atol=1e-12)
+
+    def test_origin_rows_are_exact_number_states(self):
+        # beta' = 0 at t = 0: the recurrence reads 0.9999999999999997 for
+        # <8|D[0]|8>, and renormalizing the row makes the branch |8> exactly
+        p = params_for(4, 0.3)
+        rows = evolve_fock_grid(p, 8, [0.0, 1.0], 60)
+        want = np.zeros(61, complex)
+        want[0] = want[8] = 1 / math.sqrt(2)
+        np.testing.assert_array_equal(rows[0].amplitudes, want)
+
+    @pytest.mark.parametrize("k", [None, 0, 3])
+    def test_row_past_cutoff_raises_from_grid_call(self, k):
+        # N = 4, g = 0.4 moves the field to beta' = -3.2 at t = pi: on 21
+        # levels the rows at t = 0 and 0.1 fit and the one at pi does not;
+        # the error names that row and its first branch's tail mass
+        p = params_for(4, 0.4)
+        times = [0.0, 0.1, math.pi]
+        xi, beta, bp = oracle_frame(4, 0.4, math.pi)
+        if k is None:
+            evolve_cat_grid(p, 1.0, 0.5, times[:2], 20)
+            center = bp + cmath.exp(1j * (0.5 - math.pi))
+            call = lambda: evolve_cat_grid(p, 1.0, 0.5, times, 20)  # noqa: E731
+        else:
+            evolve_fock_grid(p, k, times[:2], 20)
+            center = bp
+            call = lambda: evolve_fock_grid(p, k, times, 20)  # noqa: E731
+        tail = band_mass(coherent_closed(center, 20))
+        with pytest.raises(CutoffError, match=re.escape(f"tail mass {tail:.3e} at row 2 ")):
+            call()
+
+    def test_one_time_forms_are_grid_rows(self):
+        # a row does not depend on the rows stacked beside it
+        p = params_for(6, 0.2)
+        times = [0.0, 0.7, 2.5]
+        cats = evolve_cat_grid(p, 1.5, 0.8, times, 60)
+        focks = evolve_fock_grid(p, 2, times, 60)
+        for t, cat, fock_row in zip(times, cats, focks):
+            np.testing.assert_array_equal(evolve_cat_leading(p, 1.5, 0.8, t, 60).amplitudes,
+                                          cat.amplitudes)
+            np.testing.assert_array_equal(evolve_fock_leading(p, 2, t, 60).amplitudes,
+                                          fock_row.amplitudes)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(DomainError):
+            evolve_cat_grid(params_for(2, 0.1), 1.0, 0.5, [0.0, -0.1], 20)
 
 
 # ------------------------------------------------------------- asymptotics

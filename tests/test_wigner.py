@@ -457,6 +457,20 @@ class TestTimeAverage:
         assert isinstance(avg, float)  # a scalar signal averages to a scalar
         assert abs(float(avg)) < 1e-12
 
+    def test_grid_result_is_the_last_grid_evaluated(self):
+        # a grid owns a read-only copy of its values, so the last one is
+        # returned as it is, not copied and checked again
+        grid = WignerGrid.empty(-1, 1, -1, 1, 0.25)
+        seen = []
+
+        def evaluator(ts):
+            seen.append(grid.with_values(np.full((grid.nx, grid.np), 0.5)))
+            return seen[-1]
+
+        avg, report = time_average(evaluator, (0.0, 1.0))
+        assert avg is seen[-1]
+        assert len(seen) == 2 and report.converged
+
     def test_nonconvergent_signal_is_flagged(self):
         # the sample count is the signal, so no doubling settles
         avg, report = time_average(lambda ts: float(ts.size), (0.0, 1.0))
