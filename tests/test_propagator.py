@@ -406,19 +406,19 @@ class TestLeadingGrids:
         # levels the rows at t = 0 and 0.1 fit and the one at pi does not;
         # the error names that row and its first branch's tail mass
         p = params_for(4, 0.4)
-        times = [0.0, 0.1, math.pi]
-        xi, beta, bp = oracle_frame(4, 0.4, math.pi)
-        if k is None:
-            evolve_cat_grid(p, 1.0, 0.5, times[:2], 20)
+        _, _, bp = oracle_frame(4, 0.4, math.pi)
+        if k is None:  # the cat; its first branch is centred at bp + e^{i(phi - t)}
+            def grid(times):
+                return evolve_cat_grid(p, 1.0, 0.5, times, 20)
             center = bp + cmath.exp(1j * (0.5 - math.pi))
-            call = lambda: evolve_cat_grid(p, 1.0, 0.5, times, 20)  # noqa: E731
-        else:
-            evolve_fock_grid(p, k, times[:2], 20)
+        else:  # the Fock superposition; its first branch is |bp>
+            def grid(times):
+                return evolve_fock_grid(p, k, times, 20)
             center = bp
-            call = lambda: evolve_fock_grid(p, k, times, 20)  # noqa: E731
+        grid([0.0, 0.1])
         tail = band_mass(coherent_closed(center, 20))
         with pytest.raises(CutoffError, match=re.escape(f"tail mass {tail:.3e} at row 2 ")):
-            call()
+            grid([0.0, 0.1, math.pi])
 
     def test_one_time_forms_are_grid_rows(self):
         # a row does not depend on the rows stacked beside it
