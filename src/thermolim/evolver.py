@@ -100,7 +100,7 @@ class JointState:
         if amps.shape[0] < 2:
             raise DomainError("need at least two Fock levels")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:
             raise DomainError(f"joint state norm {nrm!r} drifted beyond 1e-9")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -84,7 +84,7 @@ class FieldState:
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
             total = float(np.sum(np.abs(amps) ** 2))
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:  # a NaN fails too
                 raise DomainError(
                     f"state marked normalized but sum |c_n|^2 = {total!r}"
                 )
@@ -122,7 +122,7 @@ def _require_tails(amps: np.ndarray, tol: float) -> None:
     """Raise :class:`CutoffError`, naming the first offending row and its
     tail mass, when any row of ``amps`` holds more than ``tol`` in its band."""
     tails = np.atleast_1d(_tail_masses(amps))
-    over = np.flatnonzero(tails > tol)
+    over = np.flatnonzero(~(tails <= tol))
     if over.size:
         where = f" at row {over[0]}" if amps.ndim > 1 else ""
         raise CutoffError(f"tail mass {tails[over[0]]:.3e}{where} exceeds {tol:.1e}; "
@@ -132,15 +132,17 @@ def _require_tails(amps: np.ndarray, tol: float) -> None:
 def _unit_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``raw`` scaled to unit norm, and their norms, each row
     held to a constructed state's checks: :class:`CutoffError` for a zero
-    row or one with over ``TAIL_TOL`` in its tail band, and
+    or NaN row or one with over ``TAIL_TOL`` in its tail band, and
     :class:`DomainError`, as in a normalized :class:`FieldState`, for a
     squared norm that misses 1 by over 1e-10."""
     norms = np.linalg.norm(raw, axis=-1)
-    if not norms.all():
-        raise CutoffError(f"zero norm at row {np.argmin(norms)}; cutoff unusable")
+    if not (norms > 0).all():  # a NaN norm fails too, and argmin finds it first
+        row = np.argmin(norms)
+        raise CutoffError(f"zero norm at row {row}; cutoff unusable" if norms[row] == 0
+                          else f"nan norm at row {row}; amplitudes not finite")
     rows = raw / norms[:, None]
     off = np.abs(np.sum(np.abs(rows) ** 2, axis=-1) - 1.0)
-    if np.any(off > 1e-10):
+    if not (off <= 1e-10).all():
         raise DomainError(f"row {np.argmax(off)} marked normalized but its "
                           f"sum |c_n|^2 misses 1 by {off.max()!r}")
     _require_tails(rows, TAIL_TOL)

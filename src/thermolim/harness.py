@@ -10,7 +10,6 @@ resolved config; wall-clock time lives only in the JSON metadata.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import json
 import math
@@ -37,7 +36,7 @@ from .evolver import (
     project_chi,
 )
 from .fock import CAPACITY_LIMIT, FieldState, ModelParams, choose_cutoff
-from .propagator import evolve_cat_grid, evolve_fock_grid, sector_frame
+from .propagator import _cat_centers, evolve_cat_grid, evolve_fock_grid
 from .spins import (
     BRUTE_FORCE_LIMIT,
     ProductSpinSpec,
@@ -435,13 +434,8 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
     a, ph = config.alpha, config.phi
     ncut = choose_cutoff(p, a, 0)  # first: it refuses an unbounded N before any grid
     # cover every branch center the window visits
-    centers = []
-    for t in np.linspace(0.0, config.t_max, 65):
-        beta_prime = sector_frame(p.n_atoms, p, t)[1] * cmath.exp(-1j * t)
-        rot = np.exp(-1j * t)
-        centers.append(beta_prime + a * np.exp(1j * ph) * rot)
-        centers.append(beta_prime + a * np.exp(-1j * ph) * rot)
-    grid = default_grid(centers, spacing=config.grid_spacing)
+    centers = _cat_centers(p, a, ph, np.linspace(0.0, config.t_max, 65))
+    grid = default_grid(centers.ravel(), spacing=config.grid_spacing)
 
     times = _time_grid(config)
     rows = [(t, *row) for t, row in zip(times, _fringe_rows(p, a, ph, times, grid))]
@@ -455,10 +449,9 @@ def _study_wigner(config: ScenarioConfig) -> _StudyResult:
 
     # The cat's Wigner grid is n^2 (branches + W_int(0)), so its interference
     # residual over the branch background is sup|W_int(0)| / sup|branches|,
-    # with W_int(0) the t = 0 row's grid; two separable Gaussians are one
-    # rank-2 product of 1-D factors
-    gammas = a * np.exp(np.array([1j, -1j]) * ph)
-    xb, pb = math.sqrt(2) * gammas.real, math.sqrt(2) * gammas.imag
+    # with W_int(0) the t = 0 row's grid and the branches at the t = 0 centres;
+    # two separable Gaussians are one rank-2 product of 1-D factors
+    xb, pb = math.sqrt(2) * centers[:, 0].real, math.sqrt(2) * centers[:, 0].imag
     gx = np.exp(-((grid.x_axis[:, None] - xb) ** 2))
     gp = np.exp(-((grid.p_axis - pb[:, None]) ** 2))
     branches = (gx @ gp) / math.pi

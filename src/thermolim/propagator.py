@@ -20,7 +20,6 @@ perturbative assemblies need it — while all fidelity metrics ignore it.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -47,17 +46,29 @@ __all__ = [
 ]
 
 
-def sector_frame(m: int, params: ModelParams, t: float) -> tuple[float, complex]:
+def sector_frame(m: int, params: ModelParams, t):
     """Phase xi_m(t) and displacement beta_m(t) of U_m(t) for the sector
-    with collective sigma-x eigenvalue m in {-N, -N+2, ..., N}: the one
-    closed form that every evolved state here is built from, for t >= 0."""
-    if t < 0:
-        raise DomainError(f"need t >= 0, got {t}")
+    with collective sigma-x eigenvalue m in {-N, -N+2, ..., N}: the one closed
+    form that every evolved state is built from, for finite t >= 0 or an array of such t."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t >= 0) & (t < math.inf)):  # a NaN fails too
+        raise DomainError(f"need finite t >= 0, got {t}")
     N = params.n_atoms
     if m != int(m) or abs(m) > N or (N - m) % 2 != 0:
         raise DomainError(f"m={m} is not a sigma-x eigenvalue for N={N}")
     ratio = m * params.g
-    return ratio**2 * (t - math.sin(t)), ratio * (1.0 - cmath.exp(1j * t))
+    return ratio**2 * (t - np.sin(t)), ratio * (1.0 - np.exp(1j * t))
+
+
+def _cat_centers(params: ModelParams, alpha: float, phi: float, times) -> np.ndarray:
+    """The (2, T) branch centres beta' + alpha e^{+-i phi - i t} of the
+    evolved cat at each of ``times`` (rows +phi and -phi), with
+    beta' = beta_N e^{-i t} from :func:`sector_frame`: the one place the
+    cat's geometry is written.  The t = 0 column is alpha e^{+-i phi}."""
+    t = np.asarray(times, dtype=np.float64)
+    rot = np.exp(-1j * t)
+    gammas = alpha * np.exp(1j * np.array([[phi], [-phi]]))
+    return sector_frame(params.n_atoms, params, t)[1] * rot + gammas * rot
 
 
 def _sector_map(x: np.ndarray, m: int, params: ModelParams, t: float,
@@ -68,7 +79,7 @@ def _sector_map(x: np.ndarray, m: int, params: ModelParams, t: float,
     xi, beta = sector_frame(m, params, t)
     n = np.arange(ncut + 1)
     out = _displacement_elements(n[:, None], np.arange(x.size), beta) @ x
-    return cmath.exp(1j * xi) * np.exp(-1j * t * n) * out
+    return np.exp(1j * xi) * np.exp(-1j * t * n) * out
 
 
 def _require_kept(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -76,7 +87,7 @@ def _require_kept(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     raise :class:`CutoffError` if it lacks over ``TAIL_TOL`` of |x|^2 (gone past ncut)."""
     before = float(np.vdot(x, x).real)
     lost = before - float(np.vdot(out, out).real)
-    if lost > TAIL_TOL * before:
+    if not lost <= TAIL_TOL * before:
         raise CutoffError(
             f"sector map lost {lost / before:.3e} of |x|^2; increase ncut={out.size - 1}")
     return out
@@ -108,9 +119,8 @@ def evolve_cat_grid(params: ModelParams, alpha: float, phi: float, times,
                     ncut: int) -> list[FieldState]:
     """Leading-order evolved cat at each of ``times``: U_N(t) on the cat
     of radius ``alpha`` and opening angle ``phi`` is two coherent branches
-    at beta' + alpha e^{+-i phi - i t}, with beta' = beta_N e^{-i t} from
-    :func:`sector_frame`, global phase xi_N and branch phases
-    alpha Im(beta_N e^{-+i phi}) from composing the displacements,
+    at the centres of :func:`_cat_centers`, with global phase xi_N and
+    branch phases alpha Im(beta_N e^{-+i phi}) from composing the displacements,
     D[b]D[c] = e^{i Im(b conj(c))} D[b+c].  Both branches at every time
     are rows of one :func:`fock._displaced_rows` call, each tail-checked;
     each time's sum is renormalized after truncation and tail-checked.
@@ -118,18 +128,12 @@ def evolve_cat_grid(params: ModelParams, alpha: float, phi: float, times,
     The collective spin factor stays pinned to the extremal sector and
     is carried implicitly.
     """
-    centers, weights = [[], []], [[], []]
-    for t in times:
-        xi, beta = sector_frame(params.n_atoms, params, t)
-        beta_prime = beta * cmath.exp(-1j * t)
-        phase = cmath.exp(1j * xi)
-        for branch, sign in enumerate((1, -1)):
-            centers[branch].append(beta_prime + alpha * cmath.exp(sign * 1j * phi - 1j * t))
-            shift = alpha * (beta * cmath.exp(-sign * 1j * phi)).imag
-            weights[branch].append(phase * cmath.exp(1j * shift))
-    rows = _displaced_rows(0, centers[0] + centers[1], ncut)
-    n = len(centers[0])
-    out, _ = _superposition([(weights[0], rows[:n]), (weights[1], rows[n:])])
+    t = np.asarray(times, dtype=np.float64)
+    xi, beta = sector_frame(params.n_atoms, params, t)
+    shifts = alpha * (beta * np.exp(-1j * np.array([[phi], [-phi]]))).imag
+    weights = np.exp(1j * xi) * np.exp(1j * shifts)
+    rows = _displaced_rows(0, _cat_centers(params, alpha, phi, t).ravel(), ncut)
+    out, _ = _superposition(list(zip(weights, rows.reshape(2, t.size, -1))))
     return [FieldState(row) for row in out]
 
 
@@ -147,15 +151,12 @@ def evolve_fock_grid(params: ModelParams, k: int, times, ncut: int) -> list[Fiel
     k = 0 it is the vacuum's evolution, |beta'> alone.  Each branch's
     rows come from one :func:`fock._displaced_rows` call, and every row
     and every sum is checked."""
-    centers, phases = [], []
-    for t in times:
-        xi, beta = sector_frame(params.n_atoms, params, t)
-        centers.append(beta * cmath.exp(-1j * t))
-        phases.append(cmath.exp(1j * xi))
+    t = np.asarray(times, dtype=np.float64)
+    xi, beta = sector_frame(params.n_atoms, params, t)
+    centers, phases = beta * np.exp(-1j * t), np.exp(1j * xi)
     terms = [(phases, _displaced_rows(0, centers, ncut))]
     if k:
-        terms.append(([p * cmath.exp(-1j * k * t) for p, t in zip(phases, times)],
-                      _displaced_rows(k, centers, ncut)))
+        terms.append((phases * np.exp(-1j * k * t), _displaced_rows(k, centers, ncut)))
     return [FieldState(row) for row in _superposition(terms)[0]]
 
 

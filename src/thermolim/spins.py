@@ -53,7 +53,7 @@ class ProductSpinSpec:
         if a.ndim != 1 or a.shape != b.shape or a.size == 0:
             raise DomainError("a and b must be equal-length nonempty 1-d sequences")
         norms = np.abs(a) ** 2 + np.abs(b) ** 2
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise DomainError(f"per-site norm violated by {worst:.2e}")
         a.setflags(write=False)
@@ -218,7 +218,7 @@ class CollectiveState:
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise DomainError("amplitudes must cover at least N=1 (two entries)")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
             raise DomainError("collective state must have unit norm within 1e-10")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

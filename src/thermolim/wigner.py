@@ -15,7 +15,6 @@ bookkeeping.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import struct
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError, ValidationError
 from .fock import FieldState, ModelParams, _support
-from .propagator import sector_frame
+from .propagator import _cat_centers
 
 __all__ = [
     "WignerGrid",
@@ -251,14 +250,13 @@ def wigner_numeric(state: FieldState, grid: WignerGrid) -> WignerGrid:
     return grid.with_values(out)
 
 
-def interference_phase_offset(params: ModelParams, alpha: float, phi: float,
-                              t: float) -> float:
+def interference_phase_offset(params: ModelParams, alpha: float, phi: float, t):
     """The spatially constant part of the interference-fringe phase:
     alpha^2 sin 2phi + 4 alpha N g sin phi (1 - cos t), where g means g/omega
-    and t means omega t.  Grows linearly with N at fixed coupling."""
+    and t means omega t, one time or an array.  Grows linearly with N at fixed coupling."""
     return (alpha**2 * math.sin(2 * phi)
             + 4.0 * alpha * (params.n_atoms * params.g)
-            * math.sin(phi) * (1.0 - math.cos(t)))
+            * math.sin(phi) * (1.0 - np.cos(t)))
 
 
 def _fringe_factors(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
@@ -268,20 +266,16 @@ def _fringe_factors(params: ModelParams, alpha: float, phi: float, ts: np.ndarra
 
         fx = exp[-(x-xb)^2 - i k cos(t) x],  fp = exp[-(p-pb)^2 + i k sin(t) p],
 
-    with k = 2 sqrt2 a sin(phi) and (xb, pb) the branch midpoint at t, so
-    that envelope * e^{i fringe phase} = fx[i, :, None] * fp[i, None, :]
-    at ts[i].  Returns the (n, nx) and (n, np) stacks."""
-    ts = np.asarray(ts, dtype=np.float64).ravel().tolist()
-    mids = np.array([sector_frame(params.n_atoms, params, t)[1] * cmath.exp(-1j * t)
-                     + alpha * math.cos(phi) * complex(math.cos(t), -math.sin(t))
-                     for t in ts])
-    xb, pb = math.sqrt(2) * mids.real[:, None], math.sqrt(2) * mids.imag[:, None]
+    with k = 2 sqrt2 a sin(phi) and (xb, pb) the midpoint of the two
+    :func:`propagator._cat_centers` at t, so that envelope * e^{i fringe
+    phase} = fx[i, :, None] * fp[i, None, :] at ts[i].  Returns the
+    (n, nx) and (n, np) stacks."""
+    ts = np.asarray(ts, dtype=np.float64).ravel()
+    mid = math.sqrt(2) * _cat_centers(params, alpha, phi, ts).mean(axis=0)[:, None]
     k = 2.0 * math.sqrt(2) * alpha * math.sin(phi)
-    kc = np.array([k * math.cos(t) for t in ts])[:, None]
-    ks = np.array([k * math.sin(t) for t in ts])[:, None]
     x, p = grid.x_axis, grid.p_axis
-    fx = np.exp(-((x - xb) ** 2) - 1j * kc * x)
-    fp = np.exp(-((p - pb) ** 2) + 1j * ks * p)
+    fx = np.exp(-((x - mid.real) ** 2) - 1j * (k * np.cos(ts)[:, None]) * x)
+    fp = np.exp(-((p - mid.imag) ** 2) + 1j * (k * np.sin(ts)[:, None]) * p)
     return fx, fp
 
 
@@ -310,8 +304,7 @@ def w_int_mean(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
     for i0 in range(0, ts.size, _TIME_BLOCK):
         block = ts[i0:i0 + _TIME_BLOCK]
         fx, fp = _fringe_factors(params, alpha, phi, block, grid)
-        c = (2.0 / math.pi) * np.exp(1j * np.array(
-            [interference_phase_offset(params, alpha, phi, t) for t in block.tolist()]))
+        c = (2.0 / math.pi) * np.exp(1j * interference_phase_offset(params, alpha, phi, block))
         total += _re_outer((c[:, None] * fx).T, fp)
     total /= ts.size
     return grid.with_values(total)
@@ -378,10 +371,10 @@ def _fringe_rows(params: ModelParams, alpha: float, phi: float, ts: np.ndarray,
     from one factor stack and one rank-2 product per time."""
     ts = np.asarray(ts, dtype=np.float64).ravel()
     fx, fp = _fringe_factors(params, alpha, phi, ts, grid)
-    offsets = [interference_phase_offset(params, alpha, phi, t) for t in ts.tolist()]
-    c = (2.0 / math.pi) * np.exp(1j * np.array(offsets))
+    offsets = interference_phase_offset(params, alpha, phi, ts)
+    c = (2.0 / math.pi) * np.exp(1j * offsets)
     rows = []
-    for ci, fxi, fpi, offset in zip(c, fx, fp, offsets):
+    for ci, fxi, fpi, offset in zip(c, fx, fp, offsets.tolist()):
         w = _re_outer(ci * fxi, fpi)
         rows.append((max(float(w.max()), -float(w.min())), offset,
                      _fit_offset(w, fxi, fpi)))
@@ -394,7 +387,7 @@ def count_time_zero_crossings(params: ModelParams, alpha: float, phi: float) -> 
     A + B (1 - cos t) sweeps the open interval between its values at t = 0
     and t = pi twice, so each level (k + 1/2) pi strictly inside it is
     crossed twice; a level at an end is only touched."""
-    lo, hi = sorted(interference_phase_offset(params, alpha, phi, t) for t in (0.0, math.pi))
+    lo, hi = sorted(interference_phase_offset(params, alpha, phi, np.array([0.0, math.pi])))
     levels = math.ceil(hi / math.pi - 0.5) - math.floor(lo / math.pi - 0.5) - 1
     return 2 * max(levels, 0)
 

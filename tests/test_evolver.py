@@ -178,6 +178,14 @@ class TestJointState:
         with pytest.raises(DomainError):
             JointState(np.ones((10, 3)), p)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+    def test_nan_amplitude_fails_norm_guard(self, bad):
+        amps = np.zeros((6, 3), complex)
+        amps[0, 0] = 1.0
+        amps[4, 2] = bad
+        with pytest.raises(DomainError, match="nan"):
+            JointState(amps, params_for(2, 0.1))
+
     def test_vector_roundtrip_is_sector_major(self):
         p = params_for(2, 0.1)
         amps = np.zeros((6, 3), complex)

@@ -353,6 +353,20 @@ def test_displaced_rows_check_each_row():
         np.testing.assert_allclose(row, coherent_closed(a, 30), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+def test_nan_amplitude_fails_field_checks(bad):
+    # every bar reads "not (x <= bar)", which a NaN fails
+    amps = np.zeros(4, complex)
+    amps[0] = bad
+    with pytest.raises(DomainError, match="sum"):
+        FieldState(amps)
+    with pytest.raises(CutoffError, match="tail mass nan"):
+        FieldState(amps, normalized=False).require_tail()
+    rows = np.array([coherent_closed(0.2, 3), amps])
+    with pytest.raises(CutoffError, match="nan norm at row 1"):
+        fock._unit_rows(rows)
+
+
 def test_superposition_refuses_a_cancelled_row():
     rows = fock._displaced_rows(0, [0.5, 1.0j], 30)
     with pytest.raises(CutoffError, match="zero norm at row 1"):

@@ -798,6 +798,7 @@ class TestBenchmarkPins:
 
     @pytest.mark.parametrize("workload, nnz", [("cat-exact", 8869),
                                                ("convergence-cat", 3747),
+                                               ("dyson-sweep", 0),
                                                ("wigner-washout", 0)])
     def test_traced_child_runs(self, tmp_path, workload, nnz):
         # a traced run reads attributes of what the targets return, such as

@@ -22,6 +22,8 @@ from thermolim.fock import (
     overlap,
 )
 from thermolim.propagator import (
+    _cat_centers,
+    _require_kept,
     _sector_map,
     apply_uf_sector,
     asymptotic_branch_ratio,
@@ -143,10 +145,56 @@ class TestSectorFrame:
         with pytest.raises(DomainError):
             sector_frame(m, params_for(4, 0.3), t=1.0)
 
+    @pytest.mark.parametrize("m", [6, -6, 0])
+    def test_array_times_match_scalar_calls(self, m):
+        p = params_for(6, 0.23)
+        times = np.array([0.0, 0.3, 1.7, math.pi, 2 * math.pi, 9.4])
+        xis, betas = sector_frame(m, p, times)
+        assert xis.shape == betas.shape == times.shape
+        scalars = [sector_frame(m, p, t) for t in times.tolist()]
+        assert all(isinstance(xi, float) and isinstance(b, complex) for xi, b in scalars)
+        np.testing.assert_allclose(xis, [xi for xi, _ in scalars], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(betas, [b for _, b in scalars], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_array_with_a_bad_time_rejected(self, bad):
+        # the check reads "every finite t >= 0", which a NaN fails as well
+        p = params_for(4, 0.3)
+        with pytest.raises(DomainError, match="t >= 0"):
+            sector_frame(4, p, np.array([0.0, 1.0, bad]))
+        with pytest.raises(DomainError, match="t >= 0"):
+            sector_frame(4, p, bad)
+
+
+class TestCatCenters:
+    def test_centres_match_closed_geometry(self):
+        n_atoms, g, alpha, phi = 6, 0.23, 1.7, 0.8
+        times = np.linspace(0.0, 7.0, 15)
+        got = _cat_centers(params_for(n_atoms, g), alpha, phi, times)
+        assert got.shape == (2, times.size)
+        for row, s in zip(got, (1, -1)):
+            for t, center in zip(times.tolist(), row):
+                _, _, bp = oracle_frame(n_atoms, g, t)
+                want = bp + alpha * cmath.exp(1j * (s * phi - t))
+                assert abs(center - want) <= 1e-15 * (abs(bp) + alpha)
+
+    def test_initial_column_is_the_input_cat(self):
+        alpha, phi = 2.0, 1.1
+        got = _cat_centers(params_for(4, 0.3), alpha, phi, [0.0, 1.0])
+        np.testing.assert_array_equal(got[:, 0], alpha * np.exp(1j * np.array([phi, -phi])))
+
 
 # ------------------------------------------------------- sector propagator
 
 class TestApplyUfSector:
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+    def test_nan_image_fails_the_lost_norm_check(self, bad):
+        x = coherent_state(0.5, 20).amplitudes
+        out = x.copy()
+        out[3] = bad
+        with pytest.raises(CutoffError, match="sector map lost nan"):
+            _require_kept(x, out)
+
     def test_free_field_is_pure_rotation(self):
         # t = 0.9 at omega = 1.3
         p = params_for(4, 0.0)

@@ -252,6 +252,14 @@ def test_collective_state_validation():
         CollectiveState(np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+def test_nan_amplitude_fails_spin_norm_checks(bad):
+    with pytest.raises(DomainError, match="unit norm"):
+        CollectiveState(np.array([1.0, 0.0, bad]))
+    with pytest.raises(DomainError, match="violated by nan"):
+        ProductSpinSpec(np.array([1.0, bad]), np.zeros(2))
+
+
 def test_spec_validation_and_seeding():
     with pytest.raises(DomainError):
         ProductSpinSpec(np.ones(3), np.ones(3))

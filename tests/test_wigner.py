@@ -376,6 +376,13 @@ class TestWIntClosed:
         # collective term alone: 4*2*(N/4)*1*(1-0) = 2N
         assert off4 == pytest.approx(8.0, rel=1e-12)
 
+    def test_offset_over_array_matches_scalar_calls(self):
+        p = params_for(8, 0.25)
+        ts = np.linspace(0.0, 2 * math.pi, 9)
+        got = interference_phase_offset(p, 1.5, 0.6, ts)
+        want = [interference_phase_offset(p, 1.5, 0.6, t) for t in ts.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
     def test_zero_crossing_count_scales_with_n(self):
         c4 = count_time_zero_crossings(params_for(4, 0.25), 2.0, math.pi / 2)
         c8 = count_time_zero_crossings(params_for(8, 0.25), 2.0, math.pi / 2)
